@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "vmmc/host/spin_wait.h"
 #include "vmmc/sim/process.h"
 #include "vmmc/sim/task.h"
 #include "vmmc/vmmc/cluster.h"
@@ -124,7 +125,7 @@ class Communicator {
   // that form a cycle across ranks deadlock when run sequentially.
   sim::Task<Status> EnsureLinks(int a, int b);
   static sim::Process EnsureOne(Communicator* self, int peer, int* pending,
-                                Status* first_error);
+                                Status* first_error, host::SpinWait* done);
 
   // AllReduceSum bodies, one per algorithm.
   sim::Task<Status> AllReduceRecursiveDoubling(std::vector<std::int64_t>& values);

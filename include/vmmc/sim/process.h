@@ -28,6 +28,12 @@ class [[nodiscard]] Process {
   using Handle = std::coroutine_handle<promise_type>;
 
   struct promise_type {
+    // User-declared so the promise is not an aggregate: C++20 would
+    // otherwise build it from the coroutine's own arguments, and a
+    // coroutine whose first parameter converts to bool would start out
+    // `started` and never run.
+    promise_type() = default;
+
     bool started = false;
     bool finished = false;
     bool detached = false;

@@ -20,7 +20,8 @@
 // (InlineFn) instead of behind a std::function allocation. The dispatch
 // order is bit-identical to a (time, seq)-keyed priority queue: seq is a
 // single monotone counter consumed by every scheduling path, so the key
-// order is total.
+// order is total. Events queued with AtAsScheduled order by (time,
+// scheduling tick, seq), which agrees with (time, seq) for all others.
 #pragma once
 
 #include <algorithm>
@@ -127,7 +128,8 @@ class Simulator {
 
   std::uint64_t events_processed() const { return processed_; }
   bool empty() const {
-    return heap_.empty() && fifo_head_ == nullptr && tail_head_ == nullptr;
+    return heap_.empty() && fifo_head_ == nullptr && tail_head_ == nullptr &&
+           placed_.empty();
   }
 
   // Schedules `fn` at absolute time `t` (must be >= now()).
@@ -168,6 +170,41 @@ class Simulator {
   // frees itself on completion.
   void Spawn(Process p);
 
+  // --- same-tick ordering hooks (see host/spin_wait.h) ---
+
+  // Scheduling tick and seq of the event being dispatched. Outside any
+  // event (between runs) they report now() and the next unused seq, so a
+  // change made there orders after everything already scheduled.
+  Tick dispatch_sched_time() const {
+    return current_ != nullptr ? current_->sched_time : now_;
+  }
+  std::uint64_t dispatch_seq() const {
+    return current_ != nullptr ? current_->seq : seq_;
+  }
+
+  // Consumes one seq without scheduling anything: the seq an event
+  // scheduled right now would get.
+  std::uint64_t ReserveSeq() { return seq_++; }
+
+  // Schedules `fn` at `t` (>= now()) in the place an event scheduled at
+  // tick `sched_time` under seq `seq` would take among the events at `t`:
+  // after each one whose (scheduling tick, seq) is lower, before the
+  // rest. `seq` comes from ReserveSeq() at or before `sched_time`. This
+  // lets a sleeper stand in for an event it never scheduled
+  // (host/spin_wait.h).
+  template <typename F>
+  void AtAsScheduled(Tick t, Tick sched_time, std::uint64_t seq, F&& fn) {
+    assert(t >= now_ && sched_time <= now_ && seq < seq_);
+    EventNode* n = TakeNode();
+    n->time = t;
+    n->seq = seq;
+    n->sched_time = sched_time;
+    n->kind = EventNode::Kind::kCallback;
+    n->fn.Emplace(std::forward<F>(fn));
+    placed_.push_back(n);
+    std::push_heap(placed_.begin(), placed_.end(), PlacedAfter);
+  }
+
   // Runs one event. Returns false if the queue is empty.
   bool Step();
 
@@ -195,6 +232,7 @@ class Simulator {
     Tick t = fifo_head_ != nullptr ? now_ : kNoEventTime;
     if (tail_head_ != nullptr) t = std::min(t, tail_head_->time);
     if (!heap_.empty()) t = std::min(t, heap_.front().time);
+    if (!placed_.empty()) t = std::min(t, placed_.front()->time);
     return t;
   }
 
@@ -244,9 +282,16 @@ class Simulator {
     std::uint64_t seq = 0;
     EventNode* next = nullptr;  // free-list / now-FIFO link
     void* coro = nullptr;       // kResume / kSpawn: coroutine frame address
+    Tick sched_time = 0;        // now() when the event was scheduled
     Kind kind = Kind::kCallback;
     detail::InlineFn fn;        // kCallback only
   };
+  // sched_time fills padding that the 16-byte-aligned capture area left
+  // after `kind`: recording it costs no node size.
+  static_assert(sizeof(EventNode) ==
+                    48 + sizeof(detail::InlineFn) &&
+                alignof(detail::InlineFn) == 16,
+                "EventNode grew: sched_time must stay in the padding");
 
   // Heap entries carry the full (time, seq) key next to the node pointer:
   // sift comparisons stay inside the contiguous heap array and never
@@ -262,7 +307,7 @@ class Simulator {
     return a.seq < b.seq;  // seq is unique: no further tie
   }
 
-  EventNode* AllocNode(Tick t) {
+  EventNode* TakeNode() {
     EventNode* n = free_nodes_;
     if (n != nullptr) {
       free_nodes_ = n->next;
@@ -271,8 +316,13 @@ class Simulator {
       n = ::new (static_cast<void*>(wilderness_)) EventNode;
       ++wilderness_;
     }
+    return n;
+  }
+  EventNode* AllocNode(Tick t) {
+    EventNode* n = TakeNode();
     n->time = t;
     n->seq = seq_++;
+    n->sched_time = now_;
     return n;
   }
   void FreeNode(EventNode* n) {
@@ -329,11 +379,30 @@ class Simulator {
     heap_[i] = slot;
   }
 
+  // Events queued by AtAsScheduled, whose (sched_time, seq) is a
+  // position rather than an allocation order: a min-heap on
+  // (time, sched_time, seq), merged into dispatch by Step.
+  static bool PlacedAfter(const EventNode* a, const EventNode* b) {
+    if (a->time != b->time) return a->time > b->time;
+    if (a->sched_time != b->sched_time) return a->sched_time > b->sched_time;
+    return a->seq > b->seq;
+  }
+  // True if placed event `p` dispatches before queued event `n`.
+  static bool PlacedFirst(const EventNode* p, const EventNode* n) {
+    if (p->time != n->time) return p->time < n->time;
+    if (p->sched_time != n->sched_time) return p->sched_time < n->sched_time;
+    return p->seq <= n->seq;
+  }
+
   EventNode* HeapPopTop();
   EventNode* PopNext();
+  // Returns whichever of `n` and the earliest placed event dispatches
+  // first. Out of line: it keeps Step's common path small.
+  [[gnu::noinline]] EventNode* MergePlaced(EventNode* n);
   void Dispatch(EventNode* n);
 
   std::vector<HeapSlot> heap_;        // out-of-order future events, 4-ary min-heap
+  std::vector<EventNode*> placed_;    // AtAsScheduled events (see PlacedAfter)
   EventNode* fifo_head_ = nullptr;    // events at now(), FIFO order
   EventNode* fifo_tail_ = nullptr;
   EventNode* tail_head_ = nullptr;    // future events, sorted by (time, seq)
@@ -349,6 +418,7 @@ class Simulator {
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
+  const EventNode* current_ = nullptr;  // the event being dispatched
   ParallelEngine* engine_ = nullptr;  // owning engine when sharded
   int shard_id_ = -1;
   obs::Registry metrics_;

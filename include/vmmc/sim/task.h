@@ -19,6 +19,9 @@ class [[nodiscard]] Task {
   using Handle = std::coroutine_handle<promise_type>;
 
   struct promise_type {
+    // Not an aggregate, for the reason given in process.h.
+    promise_type() = default;
+
     bool started = false;
     bool finished = false;
     std::coroutine_handle<> joiner;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "vmmc/host/machine.h"
+#include "vmmc/host/spin_wait.h"
 #include "vmmc/sim/task.h"
 #include "vmmc/vmmc/daemon.h"
 #include "vmmc/vmmc/driver.h"
@@ -213,6 +214,7 @@ class Endpoint {
   mem::VirtAddr fin_base_ = 0;
   MemRegion fin_region_{};
   std::vector<std::uint32_t> free_fin_slots_;
+  std::vector<std::unique_ptr<host::SpinWait>> fin_waits_;  // per fin slot
   std::uint32_t next_read_op_ = 0;
 
   std::unordered_map<ExportId, NotificationHandler> handlers_;

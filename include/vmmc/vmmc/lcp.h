@@ -202,6 +202,9 @@ class VmmcLcp : public lanai::Lcp {
                                          std::uint64_t len,
                                          std::vector<mem::Pfn> frames);
   Status ReleaseRecvRegion(std::uint32_t rtag);
+  // Raises the region's length bound to `len` (never lowers it); the
+  // frame list must already cover it.
+  Status GrowRecvRegion(std::uint32_t rtag, std::uint64_t len);
   const RecvRegion* FindRecvRegion(std::uint32_t rtag) const;
   std::size_t recv_region_count() const { return recv_regions_.size(); }
 

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "vmmc/host/spin_wait.h"
 #include "vmmc/vmmc/api.h"
 
 namespace vmmc::vmmc_core {
@@ -78,7 +79,12 @@ class P2pChannel {
 
  private:
   P2pChannel(Endpoint& ep, int peer, std::string tag, P2pParams params)
-      : ep_(ep), peer_(peer), tag_(std::move(tag)), params_(params) {}
+      : ep_(ep),
+        peer_(peer),
+        tag_(std::move(tag)),
+        params_(params),
+        ack_wait_(ep.machine().kernel().simulator(), params.poll),
+        recv_wait_(ep.machine().kernel().simulator(), params.poll) {}
 
   // Slot geometry. kKindEager payloads use [0, eager_cap); the RTS is a
   // 12-byte record {u32 rtag, u64 region offset} in the same area.
@@ -125,6 +131,10 @@ class P2pChannel {
   sim::Task<Result<mem::VirtAddr>> EnsureScratch(mem::VirtAddr* va,
                                                  std::uint32_t* cap,
                                                  std::uint32_t need);
+
+  // Spins on ack_word and on the receive trailer's seq word.
+  host::SpinWait ack_wait_;
+  host::SpinWait recv_wait_;
 
   Stats stats_;
   obs::Counter* eager_sends_m_ = nullptr;

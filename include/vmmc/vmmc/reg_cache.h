@@ -5,8 +5,10 @@
 // the same buffer is transferred again. Steady-state transfers then do
 // zero pin work.
 //
-// Entries are exact-range (first page, page count, intent) and
-// refcounted: nested Acquires of the same range share one pin-down.
+// Entries are keyed by (start address, page count, intent) and
+// refcounted: nested Acquires of the same range share one pin-down. A hit
+// returns a region covering exactly the request; a longer request over
+// the same pages grows the entry's length and its NIC region in place.
 // Idle entries (refs == 0) sit on an intrusive LRU list and are evicted
 // — unpinned — when the total pinned footprint exceeds the configured
 // budget, or when the address space announces the range is going away
@@ -88,14 +90,14 @@ class RegCache {
 
  private:
   struct Key {
-    mem::Vpn first_vpn = 0;
+    mem::VirtAddr va = 0;
     std::uint64_t pages = 0;
     std::uint8_t intent = 0;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.first_vpn * 0x9e3779b97f4a7c15ull;
+      std::uint64_t h = k.va * 0x9e3779b97f4a7c15ull;
       h ^= k.pages + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
       return static_cast<std::size_t>(h ^ k.intent);
     }
@@ -104,8 +106,8 @@ class RegCache {
     Key key;
     std::uint64_t id = 0;
     std::uint32_t refs = 0;
-    mem::VirtAddr va = 0;       // original request range (pin/unpin args)
-    std::uint64_t len = 0;
+    mem::VirtAddr va = 0;       // pinned range (pin/unpin args); len is
+    std::uint64_t len = 0;      // the longest request seen so far
     std::uint64_t bytes = 0;    // pinned footprint: pages * kPageSize
     std::uint32_t rtag = 0;
     std::vector<mem::Pfn> frames;
@@ -119,6 +121,11 @@ class RegCache {
   Result<sim::Tick> Register(Entry& e, RegIntent intent);
   // Full teardown of one entry (unpin + NIC teardown + map removal).
   void Destroy(Entry& e);
+  // Entries over the same frames (different start addresses or page
+  // counts) share the incoming-table enable of whichever enabled it
+  // first. On teardown that one passes it to a live receive entry over
+  // the frame, if any; returns false if there is none.
+  bool HandOverEnabled(const Entry& from, mem::Pfn frame);
   void LruPushBack(Entry& e);
   void LruUnlink(Entry& e);
   // Evicts idle LRU entries until pinned_bytes_ + extra fits the budget

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "vmmc/host/spin_wait.h"
 #include "vmmc/vmmc/cluster.h"
 #include "vmmc/vrpc/vrpc.h"
 
@@ -38,7 +39,11 @@ class VmmcServerTransport : public ServerTransport {
  private:
   VmmcServerTransport(vmmc_core::Cluster& cluster, int node, std::string service,
                       bool compat)
-      : cluster_(cluster), node_(node), service_(std::move(service)), compat_(compat) {}
+      : cluster_(cluster),
+        node_(node),
+        service_(std::move(service)),
+        compat_(compat),
+        idle_wait_(cluster.node_sim(node), cluster.params().vrpc.poll) {}
 
   struct Slot {
     mem::VirtAddr va = 0;
@@ -55,6 +60,7 @@ class VmmcServerTransport : public ServerTransport {
   std::vector<Slot> slots_;
   mem::VirtAddr staging_ = 0;
   std::uint64_t copies_ = 0;
+  host::SpinWait idle_wait_;  // watches every slot's commit word
 };
 
 class VmmcClientTransport : public ClientTransport {
@@ -71,7 +77,10 @@ class VmmcClientTransport : public ClientTransport {
 
  private:
   VmmcClientTransport(vmmc_core::Cluster& cluster, int node, bool compat)
-      : cluster_(cluster), node_(node), compat_(compat) {}
+      : cluster_(cluster),
+        node_(node),
+        compat_(compat),
+        reply_wait_(cluster.node_sim(node), cluster.params().vrpc.poll) {}
 
   vmmc_core::Cluster& cluster_;
   int node_;
@@ -82,6 +91,7 @@ class VmmcClientTransport : public ClientTransport {
   mem::VirtAddr staging_ = 0;
   mem::VirtAddr commit_staging_ = 0;
   std::uint32_t seq_ = 0;
+  host::SpinWait reply_wait_;  // watches the reply slot's commit word
 };
 
 }  // namespace vmmc::vrpc

@@ -9,14 +9,17 @@ Three jobs, all cheap enough for ctest:
      in EXPERIMENTS.md against the fresh output. Any cell drifting more
      than DRIFT (2%) fails the test: either the code regressed or the
      tables were not refreshed after a deliberate timing change.
-  3. Re-run fig2 once per VMMC_THREADS setting documented in the
-     "Determinism fingerprints" section and require the md5 of the fresh
-     output to equal the documented hash — the single-thread hash pins
-     serial bit-stability, the multi-thread hash pins worker-count
-     independence of simulated time.
+  3. Re-run every binary listed in the "Determinism fingerprints"
+     section under its documented VMMC_THREADS setting and require the
+     md5 of the fresh stdout to equal the documented hash. The serial rows
+     pin bit-stability of every bench and example (a change that claims
+     to alter only wall-clock speed must leave them all equal); the fig2
+     multi-thread row pins worker-count independence of simulated time.
+     Every binary passed in must have a row.
 
 Usage:
   check_docs.py <experiments.md> <fig2_bench> <fig3_bench> <example>...
+                [--fingerprint <binary>...]
 
 Exit status 0 on success; per-row diagnostics on stderr otherwise.
 """
@@ -125,10 +128,16 @@ def check_row(figure, key, label, doc, fresh, failures):
 
 
 def main():
-    if len(sys.argv) < 4:
-        fail("usage: check_docs.py <experiments.md> <fig2> <fig3> <example>...")
-    experiments_md, fig2_bench, fig3_bench = sys.argv[1:4]
-    examples = sys.argv[4:]
+    args = sys.argv[1:]
+    fingerprinted = []
+    if "--fingerprint" in args:
+        at = args.index("--fingerprint")
+        args, fingerprinted = args[:at], args[at + 1:]
+    if len(args) < 3:
+        fail("usage: check_docs.py <experiments.md> <fig2> <fig3> <example>... "
+             "[--fingerprint <binary>...]")
+    experiments_md, fig2_bench, fig3_bench = args[:3]
+    examples = args[3:]
 
     # 1. Examples must run clean.
     for example in examples:
@@ -168,27 +177,37 @@ def main():
         check_row("fig3", key, "bidirectional MB/s", cell_value(cells[2]),
                   fig3[key][1], failures)
 
-    # 2c. Determinism fingerprints: the documented md5 of the fig2 output
-    # for each VMMC_THREADS setting must match a fresh run. This pins both
-    # properties the parallel engine promises: the serial substrate is
-    # bit-stable, and worker count does not change simulated time.
+    # 2c. Determinism fingerprints: each row is "VMMC_THREADS=<n>
+    # ./build/<dir>/<binary>" and the md5 of that run's stdout.
+    binaries = {os.path.basename(b): b
+                for b in [fig2_bench, fig3_bench] + examples + fingerprinted}
     n_hashes = 0
+    fig2_threads = set()
+    covered = set()
     for cells in table_rows(section(text, "Determinism fingerprints")):
-        m = re.search(r"VMMC_THREADS=(\d+)", cells[0])
+        m = re.search(r"VMMC_THREADS=(\d+) \./build/\w+/(\w+)", cells[0])
         h = re.search(r"[0-9a-f]{32}", cells[1])
         if m is None or h is None:
             fail("unparsable fingerprint row %r" % cells)
-        threads, doc_hash = m.group(1), h.group(0)
-        out = run([fig2_bench], env={"VMMC_THREADS": threads})
+        threads, name, doc_hash = m.group(1), m.group(2), h.group(0)
+        if name not in binaries:
+            fail("fingerprint row names %r, which was not passed in" % name)
+        out = run([binaries[name]], env={"VMMC_THREADS": threads})
         fresh = hashlib.md5(out.encode("utf-8")).hexdigest()
         if fresh != doc_hash:
             failures.append(
-                "fig2 fingerprint VMMC_THREADS=%s: doc %s, fresh %s"
-                % (threads, doc_hash, fresh))
+                "%s fingerprint VMMC_THREADS=%s: doc %s, fresh %s"
+                % (name, threads, doc_hash, fresh))
         n_hashes += 1
-    if n_hashes < 2:
+        covered.add(name)
+        if binaries[name] == fig2_bench:
+            fig2_threads.add(threads)
+    if "1" not in fig2_threads or len(fig2_threads) < 2:
         fail("Determinism fingerprints section needs a single-thread and a "
-             "multi-thread row, found %d" % n_hashes)
+             "multi-thread fig2 row, found %s" % sorted(fig2_threads))
+    missing = sorted(name for name in binaries if name not in covered)
+    if missing:
+        fail("no fingerprint row for: " + ", ".join(missing))
 
     if failures:
         for f in failures:

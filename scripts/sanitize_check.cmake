@@ -3,8 +3,8 @@
 #   cmake -DVMMC_SRC=<src> -DVMMC_BIN=<bin> [-DVMMC_SAN=<list>]
 #         [-DVMMC_TESTS=<list>] -P sanitize_check.cmake
 # Defaults cover the tests that exercise the event-node pool, InlineFn
-# storage and the Buffer ref-count/pool code most heavily under
-# ASan + UBSan; the TSan entry passes VMMC_SAN=thread and the parallel
+# storage, the placed-event queue, the intrusive write-watch list and the
+# Buffer ref-count/pool code most heavily under ASan + UBSan; the TSan entry passes VMMC_SAN=thread and the parallel
 # engine test instead (worker threads + SPSC channels + atomics).
 
 if(NOT VMMC_SRC OR NOT VMMC_BIN)
@@ -15,7 +15,8 @@ if(NOT VMMC_SAN)
   set(VMMC_SAN "address,undefined")
 endif()
 if(NOT VMMC_TESTS)
-  set(VMMC_TESTS sim_test task_test topology_test)
+  set(VMMC_TESTS sim_test sim_determinism_test spin_wait_test task_test
+      topology_test)
 endif()
 
 set(_tests ${VMMC_TESTS})

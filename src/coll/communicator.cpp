@@ -65,24 +65,31 @@ sim::Task<Status> Communicator::EnsureLink(int peer) {
 }
 
 sim::Process Communicator::EnsureOne(Communicator* self, int peer,
-                                     int* pending, Status* first_error) {
+                                     int* pending, Status* first_error,
+                                     host::SpinWait* done) {
   Status s = co_await self->EnsureLink(peer);
   if (!s.ok() && first_error->ok()) *first_error = s;
   --*pending;
+  done->Notify();
 }
 
 sim::Task<Status> Communicator::EnsureLinks(int a, int b) {
   sim::Simulator& sim = cluster_.node_sim(rank_);
   int pending = 0;
   Status first_error = OkStatus();
+  host::SpinWait done(sim, 500);
   const int peers[2] = {a, a == b ? rank_ : b};  // rank_ entries are skipped
   for (int peer : peers) {
-    if (peer == rank_) continue;
-    if (peer < 0 || peer >= size_) co_return InvalidArgument("bad rank");
-    ++pending;
-    sim.Spawn(EnsureOne(this, peer, &pending, &first_error));
+    if (peer != rank_ && (peer < 0 || peer >= size_)) {
+      co_return InvalidArgument("bad rank");
+    }
   }
-  while (pending > 0) co_await sim.Delay(500);
+  for (int peer : peers) {
+    if (peer == rank_) continue;
+    ++pending;
+    sim.Spawn(EnsureOne(this, peer, &pending, &first_error, &done));
+  }
+  co_await done.Until([&] { return pending == 0; });
   co_return first_error;
 }
 

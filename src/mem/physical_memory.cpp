@@ -23,6 +23,40 @@ PhysicalMemory::PhysicalMemory(std::uint64_t bytes, std::uint64_t scatter_seed)
   }
 }
 
+PhysicalMemory::~PhysicalMemory() {
+  while (watch_head_ != nullptr) Disarm(*watch_head_);
+}
+
+void PhysicalMemory::Arm(WriteWatch& w) {
+  assert(w.armed_on == nullptr && w.begin < w.end && w.on_write != nullptr);
+  w.armed_on = this;
+  w.prev = watch_tail_;
+  w.next = nullptr;
+  if (watch_tail_ != nullptr) {
+    watch_tail_->next = &w;
+  } else {
+    watch_head_ = &w;
+  }
+  watch_tail_ = &w;
+}
+
+void PhysicalMemory::Disarm(WriteWatch& w) {
+  assert(w.armed_on == this);
+  if (w.prev != nullptr) {
+    w.prev->next = w.next;
+  } else {
+    watch_head_ = w.next;
+  }
+  if (w.next != nullptr) {
+    w.next->prev = w.prev;
+  } else {
+    watch_tail_ = w.prev;
+  }
+  w.armed_on = nullptr;
+  w.prev = nullptr;
+  w.next = nullptr;
+}
+
 Result<Pfn> PhysicalMemory::AllocFrame() {
   if (free_list_.empty()) return ResourceExhausted("out of physical frames");
   Pfn pfn = free_list_.back();
@@ -85,6 +119,12 @@ Status PhysicalMemory::Write(PhysAddr addr, std::span<const std::uint8_t> in) {
     Frame& f = EnsureBacking(pfn);
     std::memcpy(f.data() + off, in.data() + done, n);
     done += n;
+  }
+  const PhysAddr end = addr + in.size();
+  for (WriteWatch* w = watch_head_; w != nullptr;) {
+    WriteWatch* next = w->next;  // on_write may disarm `w`
+    if (w->begin < end && addr < w->end) w->on_write(w->ctx);
+    w = next;
   }
   return OkStatus();
 }

@@ -40,6 +40,7 @@ Simulator::~Simulator() {
   for (const HeapSlot& s : heap_) s.node->fn.Reset();
   for (EventNode* n = fifo_head_; n != nullptr; n = n->next) n->fn.Reset();
   for (EventNode* n = tail_head_; n != nullptr; n = n->next) n->fn.Reset();
+  for (EventNode* n : placed_) n->fn.Reset();
   std::lock_guard<std::mutex> lock(BlockCacheMutex());
   auto& cache = BlockCache();
   for (auto& block : pool_blocks_) {
@@ -162,13 +163,27 @@ void Simulator::Dispatch(EventNode* n) {
   FreeNode(n);
 }
 
+Simulator::EventNode* Simulator::MergePlaced(EventNode* n) {
+  if (n != nullptr && !PlacedFirst(placed_.front(), n)) return n;
+  // The placed event goes first; `n` returns to the queue. The heap
+  // takes any key, and new events allocated meanwhile sort after it.
+  if (n != nullptr) HeapPush(n);
+  std::pop_heap(placed_.begin(), placed_.end(), PlacedAfter);
+  n = placed_.back();
+  placed_.pop_back();
+  return n;
+}
+
 bool Simulator::Step() {
   EventNode* n = PopNext();
+  if (!placed_.empty()) [[unlikely]] n = MergePlaced(n);
   if (n == nullptr) return false;
   assert(n->time >= now_);
   now_ = n->time;
   ++processed_;
+  current_ = n;
   Dispatch(n);
+  current_ = nullptr;
   return true;
 }
 
@@ -188,7 +203,8 @@ std::uint64_t Simulator::RunWindow(Tick end) {
     }
     const bool tail_due = tail_head_ != nullptr && tail_head_->time < end;
     const bool heap_due = !heap_.empty() && heap_.front().time < end;
-    if (!tail_due && !heap_due) break;
+    const bool placed_due = !placed_.empty() && placed_.front()->time < end;
+    if (!tail_due && !heap_due && !placed_due) break;
     Step();
     ++n;
   }
@@ -210,7 +226,8 @@ void Simulator::RunUntilTime(Tick t) {
     }
     const bool tail_due = tail_head_ != nullptr && tail_head_->time <= t;
     const bool heap_due = !heap_.empty() && heap_.front().time <= t;
-    if (!tail_due && !heap_due) break;
+    const bool placed_due = !placed_.empty() && placed_.front()->time <= t;
+    if (!tail_due && !heap_due && !placed_due) break;
     Step();
   }
   now_ = t;

@@ -374,6 +374,17 @@ sim::Task<Status> Endpoint::EnsureFinRegion() {
   if (fin_base_ != 0) co_return OkStatus();
   auto base = memory().HeapAlloc(kMaxOutstandingReads * 4, 64);
   if (!base.ok()) co_return base.status();
+  sim::Simulator& sim = machine_->kernel().simulator();
+  std::vector<std::unique_ptr<host::SpinWait>> waits;
+  for (std::uint32_t i = 0; i < kMaxOutstandingReads; ++i) {
+    waits.push_back(
+        std::make_unique<host::SpinWait>(sim, params_.vmmc.p2p.poll));
+    if (Status s = waits.back()->Watch(memory(), base.value() + i * 4);
+        !s.ok()) {
+      (void)memory().HeapFree(base.value());
+      co_return s;
+    }
+  }
   auto region = co_await RegisterMemory(base.value(), kMaxOutstandingReads * 4,
                                         RegIntent::kRecv);
   if (!region.ok()) {
@@ -382,6 +393,7 @@ sim::Task<Status> Endpoint::EnsureFinRegion() {
   }
   fin_base_ = base.value();
   fin_region_ = region.value();
+  fin_waits_ = std::move(waits);
   for (std::uint32_t i = 0; i < kMaxOutstandingReads; ++i) {
     free_fin_slots_.push_back(i);
   }
@@ -429,18 +441,16 @@ sim::Task<Status> Endpoint::RdmaRead(RemoteTarget src, std::uint32_t len,
   }
 
   // Spin until the server's fin chunk lands in our fin word.
-  for (;;) {
-    auto word = memory().ReadU32(fin_base_ + fin_slot * 4);
-    if (word.ok()) {
-      if (word.value() == op) break;
-      if (word.value() == (op | 0x8000'0000u)) {
-        free_fin_slots_.push_back(fin_slot);
-        co_return PermissionDenied("remote rejected the read source range");
-      }
-    }
-    co_await sim.Delay(params_.vmmc.p2p.poll);
-  }
+  const mem::VirtAddr fin_word = fin_base_ + fin_slot * 4;
+  co_await fin_waits_[fin_slot]->Until([&] {
+    auto word = memory().ReadU32(fin_word);
+    return word.ok() &&
+           (word.value() == op || word.value() == (op | 0x8000'0000u));
+  });
   free_fin_slots_.push_back(fin_slot);
+  if (memory().ReadU32(fin_word).value() != op) {
+    co_return PermissionDenied("remote rejected the read source range");
+  }
   co_return OkStatus();
 }
 

@@ -245,6 +245,17 @@ Status VmmcLcp::ReleaseRecvRegion(std::uint32_t rtag) {
   return OkStatus();
 }
 
+Status VmmcLcp::GrowRecvRegion(std::uint32_t rtag, std::uint64_t len) {
+  auto it = recv_regions_.find(rtag);
+  if (it == recv_regions_.end()) return NotFound("no such rtag");
+  RecvRegion& r = it->second;
+  if (r.first_page_offset + len > r.frames.size() * kPageSize) {
+    return InvalidArgument("recv region length exceeds its frame list");
+  }
+  r.len = std::max(r.len, len);
+  return OkStatus();
+}
+
 const VmmcLcp::RecvRegion* VmmcLcp::FindRecvRegion(std::uint32_t rtag) const {
   auto it = recv_regions_.find(rtag);
   return it == recv_regions_.end() ? nullptr : &it->second;

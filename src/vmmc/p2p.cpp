@@ -53,6 +53,13 @@ sim::Task<Status> P2pChannel::SetupBuffers() {
   auto staging = ep_.AllocBuffer(slot_bytes);
   if (!staging.ok()) co_return staging.status();
   send_staging = staging.value();
+  if (Status s = ack_wait_.Watch(ep_.memory(), ack_word); !s.ok()) {
+    co_return s;
+  }
+  if (Status s = recv_wait_.Watch(ep_.memory(), recv_slot + eager_cap() + 8);
+      !s.ok()) {
+    co_return s;
+  }
 
   const std::string me = std::to_string(ep_.node_id());
   const std::string them = std::to_string(peer_);
@@ -84,8 +91,7 @@ sim::Task<Status> P2pChannel::SetupBuffers() {
 }
 
 sim::Task<Status> P2pChannel::WaitAcked(std::uint32_t seq) {
-  sim::Simulator& sim = ep_.machine().kernel().simulator();
-  while (ReadWord(ack_word) != seq) co_await sim.Delay(params_.poll);
+  co_await ack_wait_.Until([&] { return ReadWord(ack_word) == seq; });
   if (pending_region_live_) {
     // The peer pulled the last rendezvous payload: its source
     // registration can go back to the cache.
@@ -206,11 +212,9 @@ sim::Task<Status> P2pChannel::Send(std::span<const std::uint8_t> data) {
 sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
                                                       std::uint32_t cap) {
   using Out = Result<std::uint32_t>;
-  sim::Simulator& sim = ep_.machine().kernel().simulator();
   const mem::VirtAddr trailer = recv_slot + eager_cap();
-  while (ReadWord(trailer + 8) != next_recv_seq) {
-    co_await sim.Delay(params_.poll);
-  }
+  co_await recv_wait_.Until(
+      [&] { return ReadWord(trailer + 8) == next_recv_seq; });
   const std::uint32_t len = ReadWord(trailer);
   const std::uint32_t kind = ReadWord(trailer + 4);
   if (len > cap) co_return Out(OutOfRange("message larger than recv buffer"));
@@ -256,11 +260,9 @@ sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
 
 sim::Task<Result<std::vector<std::uint8_t>>> P2pChannel::Recv() {
   using Out = Result<std::vector<std::uint8_t>>;
-  sim::Simulator& sim = ep_.machine().kernel().simulator();
   const mem::VirtAddr trailer = recv_slot + eager_cap();
-  while (ReadWord(trailer + 8) != next_recv_seq) {
-    co_await sim.Delay(params_.poll);
-  }
+  co_await recv_wait_.Until(
+      [&] { return ReadWord(trailer + 8) == next_recv_seq; });
   const std::uint32_t len = ReadWord(trailer);
   auto scratch = co_await EnsureScratch(&recv_bounce_, &recv_bounce_cap_,
                                         std::max<std::uint32_t>(len, 1));

@@ -47,19 +47,26 @@ Result<RegCache::Acquisition> RegCache::Acquire(mem::VirtAddr va,
                                                 RegIntent intent) {
   if (len == 0) return InvalidArgument("cannot register an empty range");
   const RegCacheParams& rc = params_.vmmc.regcache;
-  const Key key{mem::PageNumber(va), mem::PagesSpanned(va, len),
+  const Key key{va, mem::PagesSpanned(va, len),
                 static_cast<std::uint8_t>(intent)};
 
   if (rc.enabled) {
     auto it = by_key_.find(key);
     if (it != by_key_.end()) {
       Entry& e = *it->second;
+      if (len > e.len) {
+        // Same pages, longer tail: the pins and frames already cover it;
+        // only the NIC region's bound moves.
+        if (e.rtag != 0) {
+          if (Status s = lcp_.GrowRecvRegion(e.rtag, len); !s.ok()) return s;
+        }
+        e.len = len;
+      }
       if (e.refs == 0) LruUnlink(e);
       ++e.refs;
       ++hits_;
       hit_m_->Inc();
-      return Acquisition{MemRegion{e.va, e.len, e.rtag, e.id}, rc.hit_lookup,
-                         true};
+      return Acquisition{MemRegion{va, len, e.rtag, e.id}, rc.hit_lookup, true};
     }
   }
 
@@ -115,8 +122,8 @@ void RegCache::InvalidateRange(mem::VirtAddr va, std::uint64_t len) {
   Entry* e = lru_head_;
   while (e != nullptr) {
     Entry* next = e->lru_next;
-    const mem::Vpn e_lo = e->key.first_vpn;
-    const mem::Vpn e_hi = e->key.first_vpn + e->key.pages - 1;
+    const mem::Vpn e_lo = mem::PageNumber(e->va);
+    const mem::Vpn e_hi = e_lo + e->key.pages - 1;
     if (e_lo <= hi && lo <= e_hi) {
       LruUnlink(*e);
       ++evictions_;
@@ -132,9 +139,10 @@ Result<sim::Tick> RegCache::Register(Entry& e, RegIntent intent) {
   if (Status s = as.Pin(e.va, e.len); !s.ok()) return s;
 
   // Walk the now-pinned pages to collect frames.
+  const mem::Vpn first_vpn = mem::PageNumber(e.va);
   e.frames.reserve(e.key.pages);
   for (std::uint64_t p = 0; p < e.key.pages; ++p) {
-    auto pa = as.TranslatePinned(mem::PageAddr(e.key.first_vpn + p));
+    auto pa = as.TranslatePinned(mem::PageAddr(first_vpn + p));
     if (!pa.ok()) {
       as.Unpin(e.va, e.len);
       return pa.status();
@@ -151,7 +159,7 @@ Result<sim::Tick> RegCache::Register(Entry& e, RegIntent intent) {
     // Prefill the NIC's software TLB so the first send takes no miss
     // interrupt. The driver writes SRAM over PIO, one word per entry.
     for (std::uint64_t p = 0; p < e.key.pages; ++p) {
-      state_.tlb().Insert(e.key.first_vpn + p, e.frames[p]);
+      state_.tlb().Insert(first_vpn + p, e.frames[p]);
     }
     cost += static_cast<sim::Tick>(e.key.pages) * params_.pci.pio_write;
   }
@@ -189,14 +197,33 @@ Result<sim::Tick> RegCache::Register(Entry& e, RegIntent intent) {
   return cost;
 }
 
+bool RegCache::HandOverEnabled(const Entry& from, mem::Pfn frame) {
+  // Any heir works: the frame stays enabled until the last receive
+  // registration over it goes, whichever order they go in.
+  // vmmc-lint: allow(unordered-iter): the result does not depend on order
+  for (auto& [id, other] : by_id_) {
+    if (other == &from || other->we_enabled.empty()) continue;
+    for (std::size_t q = 0; q < other->frames.size(); ++q) {
+      if (other->frames[q] == frame) {
+        other->we_enabled[q] = true;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 void RegCache::Destroy(Entry& e) {
   if (e.rtag != 0) lcp_.ReleaseRecvRegion(e.rtag);
   for (std::size_t p = 0; p < e.we_enabled.size(); ++p) {
-    if (e.we_enabled[p]) lcp_.incoming().Disable(e.frames[p]);
+    if (e.we_enabled[p] && !HandOverEnabled(e, e.frames[p])) {
+      lcp_.incoming().Disable(e.frames[p]);
+    }
   }
   if (WantsSend(static_cast<RegIntent>(e.key.intent))) {
+    const mem::Vpn first_vpn = mem::PageNumber(e.va);
     for (std::uint64_t p = 0; p < e.key.pages; ++p) {
-      state_.tlb().Invalidate(e.key.first_vpn + p);
+      state_.tlb().Invalidate(first_vpn + p);
     }
   }
   process_.address_space().Unpin(e.va, e.len);

@@ -80,6 +80,11 @@ sim::Task<Result<std::unique_ptr<VmmcServerTransport>>> VmmcServerTransport::Cre
     Slot slot;
     slot.va = buf.value();
     t->slots_.push_back(slot);
+    if (Status s = t->idle_wait_.Watch(
+            t->ep_->memory(), slot.va + CommitOffset(cluster.params()));
+        !s.ok()) {
+      co_return Out(s);
+    }
   }
   auto staging = t->ep_->AllocBuffer(slot_bytes);
   if (!staging.ok()) co_return Out(staging.status());
@@ -142,7 +147,13 @@ sim::Process VmmcServerTransport::Serve(RawHandler handler) {
       (void)co_await SendFramed(*ep_, staging_, staging_, slot.reply_proxy,
                                 commit_off, node_, seq, reply);
     }
-    if (!worked) co_await sim.Delay(params.vrpc.poll);
+    if (worked) continue;
+    co_await idle_wait_.Until([&] {
+      for (const Slot& slot : slots_) {
+        if (ReadWord(*ep_, slot.va + commit_off) != slot.last_seq) return true;
+      }
+      return false;
+    });
   }
 }
 
@@ -166,6 +177,11 @@ sim::Task<Result<std::unique_ptr<VmmcClientTransport>>> VmmcClientTransport::Con
   auto reply = t->ep_->AllocBuffer(slot_bytes);
   if (!reply.ok()) co_return Out(reply.status());
   t->reply_va_ = reply.value();
+  if (Status s = t->reply_wait_.Watch(
+          t->ep_->memory(), t->reply_va_ + CommitOffset(cluster.params()));
+      !s.ok()) {
+    co_return Out(s);
+  }
   ExportOptions opts;
   opts.name = service + "-rep-" + std::to_string(client_id);
   auto id = co_await t->ep_->ExportBuffer(t->reply_va_, slot_bytes, std::move(opts));
@@ -191,7 +207,6 @@ sim::Task<Result<std::unique_ptr<VmmcClientTransport>>> VmmcClientTransport::Con
 sim::Task<Result<std::vector<std::uint8_t>>> VmmcClientTransport::RoundTrip(
     std::vector<std::uint8_t> request) {
   using Out = Result<std::vector<std::uint8_t>>;
-  sim::Simulator& sim = cluster_.simulator();
   const Params& params = cluster_.params();
   const std::uint32_t commit_off = CommitOffset(params);
   if (request.size() > commit_off - 8) {
@@ -205,10 +220,8 @@ sim::Task<Result<std::vector<std::uint8_t>>> VmmcClientTransport::RoundTrip(
   if (!sent.ok()) co_return Out(sent);
 
   // Spin on the reply slot's commit word.
-  for (;;) {
-    if (ReadWord(*ep_, reply_va_ + commit_off) == seq) break;
-    co_await sim.Delay(params.vrpc.poll);
-  }
+  co_await reply_wait_.Until(
+      [&] { return ReadWord(*ep_, reply_va_ + commit_off) == seq; });
   const std::uint32_t len = ReadWord(*ep_, reply_va_);
   if (len > commit_off - 8) co_return Out(InternalError("malformed reply frame"));
   std::vector<std::uint8_t> reply(len);

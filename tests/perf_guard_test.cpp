@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "co_test_util.h"
+#include "vmmc/host/spin_wait.h"
+#include "vmmc/mem/physical_memory.h"
 #include "vmmc/myrinet/fabric.h"
 #include "vmmc/params.h"
 #include "vmmc/sim/fault.h"
@@ -112,6 +114,57 @@ TEST(PerfGuardTest, WarmedResumeChainIsAllocationFree) {
   EXPECT_EQ(g_new_calls - before, 0u)
       << "warmed coroutine resume path must not touch the heap";
   ASSERT_EQ(done, 1);
+}
+
+// --- Host spin-waits: a warmed wait is allocation-free ---------------------
+
+constexpr mem::PhysAddr kSpinWord = 0x1000;
+
+std::uint8_t SpinWordValue(const mem::PhysicalMemory& m) {
+  std::uint8_t b[4];
+  (void)m.Read(kSpinWord, b);
+  return b[0];
+}
+
+sim::Process SpinWaiter(host::SpinWait& wait, const mem::PhysicalMemory& m,
+                        int rounds, int& progress) {
+  for (int i = 1; i <= rounds; ++i) {
+    const auto want = static_cast<std::uint8_t>(i);
+    co_await wait.Until([&] { return SpinWordValue(m) == want; });
+    progress = i;
+  }
+}
+
+sim::Process SpinWriter(Simulator& sim, mem::PhysicalMemory& m, int rounds) {
+  for (int i = 1; i <= rounds; ++i) {
+    co_await sim.Delay(1017);  // several empty polls, then a mid-period write
+    const std::uint8_t other[4] = {0xEE, 0, 0, 0};
+    (void)m.Write(kSpinWord, other);  // a wake that finds nothing
+    co_await sim.Delay(333);
+    const std::uint8_t v[4] = {static_cast<std::uint8_t>(i), 0, 0, 0};
+    (void)m.Write(kSpinWord, v);
+  }
+}
+
+TEST(PerfGuardTest, WarmedSpinWaitIsAllocationFree) {
+  Simulator sim;
+  mem::PhysicalMemory memory(16 * 1024, 0);
+  host::SpinWait wait(sim, 250);
+  wait.Watch(memory, kSpinWord, 4);  // set up once, armed per wait
+  constexpr int kRounds = 2000;
+  int progress = 0;
+  sim.Spawn(SpinWaiter(wait, memory, kRounds, progress));  // frames: once
+  sim.Spawn(SpinWriter(sim, memory, kRounds));
+  ASSERT_TRUE(sim.RunUntil([&] { return progress >= kRounds / 4; }));
+
+  // Every remaining wait arms the watch, sleeps through empty polls, is
+  // woken by a store (a DMA write takes the same path) and re-arms or
+  // resumes — all through the intrusive watch list and pooled nodes.
+  const std::uint64_t before = g_new_calls;
+  sim.RunUntil([&] { return progress == kRounds; });
+  EXPECT_EQ(g_new_calls - before, 0u)
+      << "warmed spin-wait path must not touch the heap";
+  ASSERT_EQ(progress, kRounds);
 }
 
 // --- Fabric: payloads travel by reference ---------------------------------

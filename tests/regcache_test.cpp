@@ -91,6 +91,23 @@ TEST_F(RegCacheTest, WarmReacquireIsAHitWithSmallCost) {
   ASSERT_TRUE(rc.Release(warm.value().region.cache_id).ok());
 }
 
+TEST_F(RegCacheTest, HitCoversExactlyTheRequest) {
+  RegCache& rc = a_->reg_cache();
+  const mem::VirtAddr va = Alloc(2 * mem::kPageSize);
+  auto big = rc.Acquire(va, 8000, RegIntent::kRecv);
+  ASSERT_TRUE(big.ok());
+  ASSERT_TRUE(rc.Release(big.value().region.cache_id).ok());
+  // A shorter request over the same pages hits and gets its own length.
+  auto small = rc.Acquire(va, 5000, RegIntent::kRecv);
+  ASSERT_TRUE(small.ok());
+  EXPECT_TRUE(small.value().hit);
+  EXPECT_EQ(small.value().cost, params_.vmmc.regcache.hit_lookup);
+  EXPECT_EQ(small.value().region.va, va);
+  EXPECT_EQ(small.value().region.len, 5000u);
+  EXPECT_EQ(small.value().region.rtag, big.value().region.rtag);
+  ASSERT_TRUE(rc.Release(small.value().region.cache_id).ok());
+}
+
 TEST_F(RegCacheTest, DifferentIntentIsADifferentEntry) {
   RegCache& rc = a_->reg_cache();
   const mem::VirtAddr va = Alloc(mem::kPageSize);
@@ -135,6 +152,41 @@ TEST_F(RegCacheTest, LruEvictionUnderTightBudget) {
   EXPECT_TRUE(rc.Release(rok.value().region.cache_id).ok());
   EXPECT_TRUE(rc.Release(rb2.value().region.cache_id).ok());
   EXPECT_TRUE(rc.Release(ra2.value().region.cache_id).ok());
+}
+
+TEST_F(RegCacheTest, EvictingOneOfTwoOverlappingEntriesKeepsFrameEnabled) {
+  // Two receive registrations starting at different offsets of one page
+  // are two entries over the same frame; the first one enabled it in the
+  // NIC's incoming page table. Evicting that one while the other is
+  // active must leave the frame writable for the survivor.
+  RegCache& rc = a_->reg_cache();
+  const mem::VirtAddr va = Alloc(mem::kPageSize);
+  auto first = rc.Acquire(va, 100, RegIntent::kRecv);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(rc.Release(first.value().region.cache_id).ok());
+  auto second = rc.Acquire(va + 64, 100, RegIntent::kRecv);
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(second.value().hit);
+
+  // Budget pressure evicts the idle first entry.
+  const mem::VirtAddr other = Alloc(3 * mem::kPageSize);
+  auto big = rc.Acquire(other, 3 * mem::kPageSize, RegIntent::kRecv);
+  ASSERT_TRUE(big.ok());
+  ASSERT_EQ(rc.evictions(), 1u);
+
+  auto pa = a_->memory().Translate(va);
+  ASSERT_TRUE(pa.ok());
+  const IncomingEntry* in =
+      cluster_->node(0).lcp->incoming().Find(mem::PageNumber(pa.value()));
+  ASSERT_NE(in, nullptr);
+  EXPECT_TRUE(in->recv_enabled);
+
+  // Once the survivor goes too, the frame is disabled again.
+  ASSERT_TRUE(rc.Release(second.value().region.cache_id).ok());
+  ASSERT_TRUE(rc.Release(big.value().region.cache_id).ok());
+  rc.InvalidateRange(va, mem::kPageSize);
+  in = cluster_->node(0).lcp->incoming().Find(mem::PageNumber(pa.value()));
+  EXPECT_TRUE(in == nullptr || !in->recv_enabled);
 }
 
 TEST_F(RegCacheTest, ActiveEntriesAreNeverEvicted) {
@@ -363,6 +415,102 @@ TEST_F(RdmaTest, ReadPullsRemoteData) {
         << "at byte " << i;
   }
   EXPECT_GE(cluster_->node(1).lcp->stats().rdma_reads_served, 1u);
+}
+
+TEST_F(RdmaTest, ReadIntoLongerReRegistrationOfSamePages) {
+  // 5000 and 8000 bytes both span two pages: the second registration is
+  // a cache hit on the first's entry, and its region must still cover
+  // all 8000 bytes.
+  constexpr std::uint32_t kShort = 5000;
+  constexpr std::uint32_t kLong = 8000;
+  bool done = false;
+  Status r = InternalError("not run");
+  MemRegion region;
+  std::vector<std::uint8_t> got(kLong);
+  auto prog = [&]() -> sim::Process {
+    auto src = b_->AllocBuffer(kLong);
+    CO_ASSERT_TRUE(src.ok());
+    std::vector<std::uint8_t> payload(kLong);
+    for (std::uint32_t i = 0; i < kLong; ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    }
+    CO_ASSERT_TRUE(b_->WriteBuffer(src.value(), payload).ok());
+    auto sreg = co_await b_->RegisterMemory(src.value(), kLong,
+                                            RegIntent::kRecv);
+    CO_ASSERT_TRUE(sreg.ok());
+
+    auto dst = a_->AllocBuffer(kLong);
+    CO_ASSERT_TRUE(dst.ok());
+    auto first = co_await a_->RegisterMemory(dst.value(), kShort,
+                                             RegIntent::kRecv);
+    CO_ASSERT_TRUE(first.ok());
+    CO_ASSERT_TRUE((co_await a_->UnregisterMemory(first.value())).ok());
+    auto longer = co_await a_->RegisterMemory(dst.value(), kLong,
+                                              RegIntent::kRecv);
+    CO_ASSERT_TRUE(longer.ok());
+    region = longer.value();
+    r = co_await a_->RdmaRead(RemoteTarget{1, sreg.value().rtag, 0}, kLong,
+                              region, 0);
+    CO_ASSERT_TRUE(a_->ReadBuffer(dst.value(), got).ok());
+    done = true;
+  };
+  sim_.Spawn(prog());
+  RunAll();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(a_->reg_cache().hits(), 1u);
+  EXPECT_EQ(region.len, kLong);
+  ASSERT_TRUE(r.ok()) << r.ToString();
+  for (std::uint32_t i = 0; i < kLong; ++i) {
+    ASSERT_EQ(got[i], static_cast<std::uint8_t>(i * 13 + 1)) << "at byte " << i;
+  }
+}
+
+TEST_F(RdmaTest, SecondStartAddressInSamePageGetsItsOwnRegion) {
+  // Two registrations starting at different offsets of the same first
+  // page (same page count): the second region must start where it was
+  // asked to, and a read into it must land there.
+  constexpr std::uint32_t kLen = 256;
+  constexpr std::uint32_t kShift = 64;
+  bool done = false;
+  MemRegion first_region, second_region;
+  std::vector<std::uint8_t> got(kShift + kLen);
+  auto prog = [&]() -> sim::Process {
+    auto src = b_->AllocBuffer(kLen);
+    CO_ASSERT_TRUE(src.ok());
+    std::vector<std::uint8_t> payload(kLen, 0xA5);
+    CO_ASSERT_TRUE(b_->WriteBuffer(src.value(), payload).ok());
+    auto sreg = co_await b_->RegisterMemory(src.value(), kLen,
+                                            RegIntent::kRecv);
+    CO_ASSERT_TRUE(sreg.ok());
+
+    auto dst = a_->AllocBuffer(mem::kPageSize);
+    CO_ASSERT_TRUE(dst.ok());
+    auto first = co_await a_->RegisterMemory(dst.value(), kLen,
+                                             RegIntent::kRecv);
+    CO_ASSERT_TRUE(first.ok());
+    first_region = first.value();
+    CO_ASSERT_TRUE((co_await a_->UnregisterMemory(first.value())).ok());
+    auto second = co_await a_->RegisterMemory(dst.value() + kShift, kLen,
+                                              RegIntent::kRecv);
+    CO_ASSERT_TRUE(second.ok());
+    second_region = second.value();
+    Status r = co_await a_->RdmaRead(RemoteTarget{1, sreg.value().rtag, 0},
+                                     kLen, second_region, 0);
+    CO_ASSERT_TRUE(r.ok());
+    CO_ASSERT_TRUE(a_->ReadBuffer(dst.value(), got).ok());
+    done = true;
+  };
+  sim_.Spawn(prog());
+  RunAll();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(second_region.va, first_region.va + kShift);
+  EXPECT_EQ(second_region.len, kLen);
+  for (std::uint32_t i = 0; i < kShift; ++i) {
+    ASSERT_EQ(got[i], 0) << "read landed before the region, at byte " << i;
+  }
+  for (std::uint32_t i = kShift; i < kShift + kLen; ++i) {
+    ASSERT_EQ(got[i], 0xA5) << "at byte " << i;
+  }
 }
 
 TEST_F(RdmaTest, ReadFromBogusRtagIsRejectedRemotely) {

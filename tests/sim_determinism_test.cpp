@@ -3,10 +3,12 @@
 // The three-tier queue (now-FIFO, sorted tail list, 4-ary heap) promises
 // dispatch order bit-identical to a single (time, seq) priority queue.
 // This test drives identical randomized schedules — a mix of At, Post,
-// coroutine Resume and Spawn, with heavy time ties and out-of-order
-// pushes — through the production Simulator and through a deliberately
-// naive reference scheduler (linear scan for the (time, seq) minimum),
-// and requires the firing sequences to match exactly.
+// coroutine Resume, Spawn and AtAsScheduled, with heavy time ties and
+// out-of-order pushes — through the production Simulator and through a
+// deliberately naive reference scheduler (linear scan for the minimum of
+// (time, scheduling tick, seq), which is (time, seq) for every event not
+// placed by AtAsScheduled), and requires the firing sequences to match
+// exactly.
 #include <gtest/gtest.h>
 
 #include <coroutine>
@@ -28,14 +30,16 @@ namespace {
 // the whole workload unfolds identically in both schedulers as long as
 // they fire ops in the same order — which is exactly what we verify.
 struct Op {
-  enum Kind { kAt, kPost, kResume, kSpawn };
+  enum Kind { kAt, kPost, kResume, kSpawn, kPlaced };
   Kind kind;
   Tick delay;
+  std::uint64_t pick;  // kPlaced: which earlier reservation to stand in for
 };
 
 Op DrawOp(Rng& rng) {
   Op op;
-  op.kind = static_cast<Op::Kind>(rng.UniformU64(4));
+  op.kind = static_cast<Op::Kind>(rng.UniformU64(5));
+  op.pick = rng.NextU64();
   // ~40% zero delays: same-tick bursts (FIFO tier, seq tie-breaks) are
   // the adversarial case for ordering bugs.
   const std::uint64_t r = rng.UniformU64(100);
@@ -64,6 +68,29 @@ constexpr int kMaxOps = 3000;
 
 // --- Production driver: the real Simulator -------------------------------
 
+// Every firing reserves one seq at its tick. A kPlaced op queues an event
+// as if scheduled at some tick from that reservation's up to now, under
+// the reserved seq — the way a spin-wait stands in for a poll it skipped.
+struct Reservation {
+  Tick tick;
+  std::uint64_t seq;
+};
+
+Tick PlacedTick(const Reservation& r, Tick now, std::uint64_t pick) {
+  return r.tick + static_cast<Tick>((pick >> 32) %
+                                    static_cast<std::uint64_t>(now - r.tick + 1));
+}
+
+// Each reservation stands in for one event only, so keys stay unique.
+Reservation TakeReservation(std::vector<Reservation>& pool,
+                            std::uint64_t pick) {
+  const std::size_t i = pick % pool.size();
+  const Reservation r = pool[i];
+  pool[i] = pool.back();
+  pool.pop_back();
+  return r;
+}
+
 class RealDriver {
  public:
   explicit RealDriver(std::uint64_t seed) : seed_(seed) {}
@@ -80,12 +107,20 @@ class RealDriver {
  private:
   void Fire(int id) {
     log_.push_back(id);
+    reserved_.push_back({sim_.now(), sim_.ReserveSeq()});
     for (const Op& op : ChildrenOf(seed_, id)) Schedule(op);
   }
 
   void Schedule(const Op& op) {
     if (next_id_ >= kMaxOps) return;
     const int id = next_id_++;
+    if (op.kind == Op::kPlaced && !reserved_.empty()) {
+      const Reservation r = TakeReservation(reserved_, op.pick);
+      sim_.AtAsScheduled(sim_.now() + op.delay,
+                         PlacedTick(r, sim_.now(), op.pick), r.seq,
+                         [this, id] { Fire(id); });
+      return;
+    }
     switch (op.kind) {
       case Op::kAt:
         sim_.At(sim_.now() + op.delay, [this, id] { Fire(id); });
@@ -97,6 +132,7 @@ class RealDriver {
         StartParked(id, op.delay);
         break;
       case Op::kSpawn:
+      case Op::kPlaced:  // no reservation yet: a plain spawn
         sim_.Spawn(FireProc(id));
         break;
     }
@@ -136,6 +172,7 @@ class RealDriver {
   std::uint64_t seed_;
   int next_id_ = 0;
   std::vector<int> log_;
+  std::vector<Reservation> reserved_;
   std::deque<std::coroutine_handle<>> parked_;
 };
 
@@ -152,7 +189,11 @@ class ReferenceDriver {
       for (std::size_t i = 1; i < events_.size(); ++i) {
         const Event& e = events_[i];
         const Event& b = events_[best];
-        if (e.time < b.time || (e.time == b.time && e.seq < b.seq)) best = i;
+        if (e.time != b.time ? e.time < b.time
+            : e.sched != b.sched ? e.sched < b.sched
+                                 : e.seq < b.seq) {
+          best = i;
+        }
       }
       Event next = std::move(events_[best]);
       events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(best));
@@ -165,24 +206,32 @@ class ReferenceDriver {
  private:
   struct Event {
     Tick time;
+    Tick sched;
     std::uint64_t seq;
     int id;
   };
 
   void Fire(int id) {
     log_.push_back(id);
+    reserved_.push_back({now_, seq_++});
     for (const Op& op : ChildrenOf(seed_, id)) Schedule(op);
   }
 
   void Schedule(const Op& op) {
     if (next_id_ >= kMaxOps) return;
     const int id = next_id_++;
+    if (op.kind == Op::kPlaced && !reserved_.empty()) {
+      const Reservation r = TakeReservation(reserved_, op.pick);
+      events_.push_back(
+          {now_ + op.delay, PlacedTick(r, now_, op.pick), r.seq, id});
+      return;
+    }
     // kPost and kSpawn run at now(); kAt and kResume run after delay.
     // The sequence number is assigned at schedule time, exactly as the
     // real engine's monotone seq_ counter is.
-    const Tick delay =
-        (op.kind == Op::kPost || op.kind == Op::kSpawn) ? 0 : op.delay;
-    events_.push_back({now_ + delay, seq_++, id});
+    const bool at_now = op.kind == Op::kPost || op.kind == Op::kSpawn ||
+                        op.kind == Op::kPlaced;
+    events_.push_back({now_ + (at_now ? 0 : op.delay), now_, seq_++, id});
   }
 
   std::uint64_t seed_;
@@ -190,6 +239,7 @@ class ReferenceDriver {
   std::uint64_t seq_ = 0;
   int next_id_ = 0;
   std::vector<int> log_;
+  std::vector<Reservation> reserved_;
   std::vector<Event> events_;
 };
 

@@ -114,6 +114,31 @@ TEST(TaskTest, ExceptionPropagatesToAwaiter) {
   EXPECT_TRUE(caught);
 }
 
+// Coroutines whose leading parameters convert to the promise's first
+// members (bool started, ...). Were the promise an aggregate, C++20 would
+// initialize it from these arguments, so the coroutine would look started
+// and never run.
+struct RunFlag {
+  bool ran = false;
+  int value = 0;
+};
+
+Task<int> FromFlag(bool flag) { co_return flag ? 11 : 22; }
+
+Process MarkRan(RunFlag* flag) {
+  flag->value = co_await FromFlag(true);
+  flag->ran = true;
+}
+
+TEST(TaskTest, PromiseIgnoresCoroutineArguments) {
+  Simulator sim;
+  RunFlag flag;
+  sim.Spawn(MarkRan(&flag));
+  sim.Run();
+  EXPECT_TRUE(flag.ran);
+  EXPECT_EQ(flag.value, 11);
+}
+
 TEST(TaskTest, UnstartedTaskDestroysCleanly) {
   Simulator sim;
   {
