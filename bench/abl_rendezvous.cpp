@@ -29,8 +29,7 @@ struct ChannelPair {
   std::unique_ptr<P2pChannel> a, b;
 };
 
-// Builds a channel pair between fx.a() and fx.b(). Serial fixture only:
-// both setup coroutines run on the one simulator.
+// Builds a channel pair between fx.a() and fx.b().
 ChannelPair MakeChannels(TwoNodeFixture& fx, const P2pParams& p) {
   ChannelPair out;
   int ready = 0;
@@ -48,7 +47,7 @@ ChannelPair MakeChannels(TwoNodeFixture& fx, const P2pParams& p) {
   };
   fx.sim().Spawn(make(fx.a(), 1, &out.a));
   fx.sim().Spawn(make(fx.b(), 0, &out.b));
-  if (!fx.cluster().DriveUntil([&ready] { return ready == 2; })) {
+  if (!fx.sim().RunUntil([&ready] { return ready == 2; })) {
     std::fprintf(stderr, "channel setup deadlocked\n");
     std::abort();
   }

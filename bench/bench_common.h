@@ -8,19 +8,15 @@
 #include <memory>
 #include <vector>
 
-#include <atomic>
-
 #include "vmmc/params.h"
 #include "vmmc/sim/simulator.h"
 #include "vmmc/util/stats.h"
 #include "vmmc/vmmc/cluster.h"
-#include "vmmc/vmmc/runtime.h"
 
 namespace vmmc::bench {
 
 using vmmc_core::Cluster;
 using vmmc_core::ClusterOptions;
-using vmmc_core::ClusterRuntime;
 using vmmc_core::Endpoint;
 using vmmc_core::ExportOptions;
 using vmmc_core::ImportedBuffer;
@@ -29,24 +25,12 @@ using vmmc_core::ProxyAddr;
 
 // Two endpoints (node 0 "a", node 1 "b") with a receive buffer exported on
 // each side and imported by the other.
-//
-// `threads` follows RuntimeOptions: 1 (the default) is the historical
-// single-simulator fixture, 0 reads VMMC_THREADS, >= 2 partitions the
-// cluster. Only the thread-aware drivers below (ping-pong, bidirectional,
-// send-overhead) are safe on a partitioned fixture; benches that reach
-// into fx.sim() directly should keep the serial default.
 class TwoNodeFixture {
  public:
   explicit TwoNodeFixture(const Params& params = DefaultParams(),
-                          std::uint32_t buffer_bytes = 2 * 1024 * 1024,
-                          int threads = 1)
-      : params_(params) {
-    ClusterOptions options;
-    options.num_nodes = 2;
-    vmmc_core::RuntimeOptions rt;
-    rt.threads = threads;
-    runtime_ = std::make_unique<ClusterRuntime>(params_, options, rt);
-    Status booted = cluster().Boot();
+                          std::uint32_t buffer_bytes = 2 * 1024 * 1024)
+      : params_(params), cluster_(sim_, params_, {.num_nodes = 2}) {
+    Status booted = cluster_.Boot();
     if (!booted.ok()) {
       std::fprintf(stderr, "boot failed: %s\n", booted.ToString().c_str());
       std::abort();
@@ -56,12 +40,8 @@ class TwoNodeFixture {
     SetupBuffers(buffer_bytes);
   }
 
-  // Node 0's simulator (on a serial fixture: the only one). The historical
-  // name; drivers touching node 1 must use sim_b().
-  sim::Simulator& sim() { return cluster().node_sim(0); }
-  sim::Simulator& sim_b() { return cluster().node_sim(1); }
-  ClusterRuntime& runtime() { return *runtime_; }
-  Cluster& cluster() { return runtime_->cluster(); }
+  sim::Simulator& sim() { return sim_; }
+  Cluster& cluster() { return cluster_; }
   Endpoint& a() { return *a_; }
   Endpoint& b() { return *b_; }
   // Proxy address (in a's proxy space) of b's receive buffer, and vice
@@ -75,10 +55,8 @@ class TwoNodeFixture {
   std::uint32_t buffer_bytes() const { return buffer_bytes_; }
 
   // Runs the simulation until `done` turns true; aborts if it drains.
-  // (`done` may be written from any shard: the engine evaluates the
-  // predicate only at window boundaries, after all shards published.)
   void RunUntilDone(const bool& done) {
-    if (!cluster().DriveUntil([&] { return done; })) {
+    if (!sim_.RunUntil([&] { return done; })) {
       std::fprintf(stderr, "bench deadlocked (event queue drained)\n");
       std::abort();
     }
@@ -86,7 +64,7 @@ class TwoNodeFixture {
 
  private:
   std::unique_ptr<Endpoint> Open(int node, const char* name) {
-    auto ep = cluster().OpenEndpoint(node, name);
+    auto ep = cluster_.OpenEndpoint(node, name);
     if (!ep.ok()) {
       std::fprintf(stderr, "endpoint failed: %s\n", ep.status().ToString().c_str());
       std::abort();
@@ -96,72 +74,37 @@ class TwoNodeFixture {
 
   void SetupBuffers(std::uint32_t bytes) {
     buffer_bytes_ = bytes;
-    if (!cluster().parallel()) {
-      // The historical single-coroutine setup, kept verbatim so serial
-      // fixtures replay all prior releases bit for bit.
-      bool done = false;
-      auto setup = [&]() -> sim::Process {
-        a_recv_va_ = a_->AllocBuffer(bytes).value();
-        b_recv_va_ = b_->AllocBuffer(bytes).value();
-        a_src_ = a_->AllocBuffer(bytes).value();
-        b_src_ = b_->AllocBuffer(bytes).value();
-        ExportOptions ea;
-        ea.name = "a-ring";
-        auto ida = co_await a_->ExportBuffer(a_recv_va_, bytes, std::move(ea));
-        ExportOptions eb;
-        eb.name = "b-ring";
-        auto idb = co_await b_->ExportBuffer(b_recv_va_, bytes, std::move(eb));
-        ImportOptions wait;
-        wait.wait = true;
-        auto iab = co_await a_->ImportBuffer(1, "b-ring", wait);
-        auto iba = co_await b_->ImportBuffer(0, "a-ring", wait);
-        a_to_b_ = iab.value();
-        b_to_a_ = iba.value();
-        (void)ida;
-        (void)idb;
-        done = true;
-      };
-      sim().Spawn(setup());
-      RunUntilDone(done);
-      return;
-    }
-    // Partitioned: each endpoint's setup runs on its own node shard (one
-    // coroutine must never touch two shards' state); the wait-imports are
-    // the cross-side rendezvous.
-    std::atomic<int> ready{0};
-    auto setup_a = [&]() -> sim::Process {
+    bool done = false;
+    auto setup = [&]() -> sim::Process {
       a_recv_va_ = a_->AllocBuffer(bytes).value();
+      b_recv_va_ = b_->AllocBuffer(bytes).value();
       a_src_ = a_->AllocBuffer(bytes).value();
+      b_src_ = b_->AllocBuffer(bytes).value();
       ExportOptions ea;
       ea.name = "a-ring";
-      (void)co_await a_->ExportBuffer(a_recv_va_, bytes, std::move(ea));
-      ImportOptions wait;
-      wait.wait = true;
-      a_to_b_ = (co_await a_->ImportBuffer(1, "b-ring", wait)).value();
-      ready.fetch_add(1, std::memory_order_relaxed);
-    };
-    auto setup_b = [&]() -> sim::Process {
-      b_recv_va_ = b_->AllocBuffer(bytes).value();
-      b_src_ = b_->AllocBuffer(bytes).value();
+      auto ida = co_await a_->ExportBuffer(a_recv_va_, bytes, std::move(ea));
       ExportOptions eb;
       eb.name = "b-ring";
-      (void)co_await b_->ExportBuffer(b_recv_va_, bytes, std::move(eb));
+      auto idb = co_await b_->ExportBuffer(b_recv_va_, bytes, std::move(eb));
       ImportOptions wait;
       wait.wait = true;
-      b_to_a_ = (co_await b_->ImportBuffer(0, "a-ring", wait)).value();
-      ready.fetch_add(1, std::memory_order_relaxed);
+      auto iab = co_await a_->ImportBuffer(1, "b-ring", wait);
+      auto iba = co_await b_->ImportBuffer(0, "a-ring", wait);
+      a_to_b_ = iab.value();
+      b_to_a_ = iba.value();
+      (void)ida;
+      (void)idb;
+      done = true;
     };
-    sim().Spawn(setup_a());
-    sim_b().Spawn(setup_b());
-    if (!cluster().DriveUntil(
-            [&] { return ready.load(std::memory_order_relaxed) == 2; })) {
-      std::fprintf(stderr, "fixture setup deadlocked\n");
-      std::abort();
-    }
+    sim_.Spawn(setup());
+    RunUntilDone(done);
   }
 
+  // Declaration order is construction order: the simulator outlives the
+  // cluster and the endpoints built on it.
+  sim::Simulator sim_;
   Params params_;
-  std::unique_ptr<ClusterRuntime> runtime_;
+  Cluster cluster_;
   std::unique_ptr<Endpoint> a_, b_;
   ImportedBuffer a_to_b_{}, b_to_a_{};
   mem::VirtAddr a_recv_va_ = 0, b_recv_va_ = 0, a_src_ = 0, b_src_ = 0;
@@ -218,14 +161,14 @@ inline void RunPingPong(TwoNodeFixture& fx, std::uint32_t len, int iters,
     const mem::VirtAddr flag = fx.b_recv_va() + len - 1;
     for (int i = 1; i <= iters; ++i) {
       const auto seq = static_cast<std::uint8_t>(i & 0xFF);
-      co_await SpinOnByte(fx.sim_b(), fx.b(), flag, seq);
+      co_await SpinOnByte(fx.sim(), fx.b(), flag, seq);
       std::vector<std::uint8_t> payload(len, seq);
       (void)fx.b().WriteBuffer(fx.b_src(), payload);
       Status s = co_await fx.b().SendMsg(fx.b_src(), fx.b_to_a(), len);
       if (!s.ok()) std::abort();
     }
   };
-  fx.sim_b().Spawn(pong());
+  fx.sim().Spawn(pong());
   fx.sim().Spawn(ping());
   fx.RunUntilDone(done);
 }
@@ -234,10 +177,10 @@ inline void RunPingPong(TwoNodeFixture& fx, std::uint32_t len, int iters,
 // the peer's message, then iterate. Returns the TOTAL bandwidth of both
 // senders, as in Figure 3.
 inline double RunBidirectional(TwoNodeFixture& fx, std::uint32_t len, int iters) {
-  std::atomic<int> finished{0};  // the two sides run on different shards
+  int finished = 0;
   bool done = false;
-  auto side = [&](sim::Simulator& sim, Endpoint& ep, mem::VirtAddr src,
-                  ProxyAddr dst, mem::VirtAddr recv_va) -> sim::Process {
+  auto side = [&](Endpoint& ep, mem::VirtAddr src, ProxyAddr dst,
+                  mem::VirtAddr recv_va) -> sim::Process {
     const mem::VirtAddr flag = recv_va + len - 1;
     for (int i = 1; i <= iters; ++i) {
       const auto seq = static_cast<std::uint8_t>(i & 0xFF);
@@ -245,13 +188,13 @@ inline double RunBidirectional(TwoNodeFixture& fx, std::uint32_t len, int iters)
       (void)ep.WriteBuffer(src, payload);
       Status s = co_await ep.SendMsg(src, dst, len);
       if (!s.ok()) std::abort();
-      co_await SpinOnByte(sim, ep, flag, seq);
+      co_await SpinOnByte(fx.sim(), ep, flag, seq);
     }
-    if (finished.fetch_add(1, std::memory_order_relaxed) + 1 == 2) done = true;
+    if (++finished == 2) done = true;
   };
   const sim::Tick t0 = fx.sim().now();
-  fx.sim().Spawn(side(fx.sim(), fx.a(), fx.a_src(), fx.a_to_b(), fx.a_recv_va()));
-  fx.sim_b().Spawn(side(fx.sim_b(), fx.b(), fx.b_src(), fx.b_to_a(), fx.b_recv_va()));
+  fx.sim().Spawn(side(fx.a(), fx.a_src(), fx.a_to_b(), fx.a_recv_va()));
+  fx.sim().Spawn(side(fx.b(), fx.b_src(), fx.b_to_a(), fx.b_recv_va()));
   fx.RunUntilDone(done);
   const sim::Tick elapsed = fx.sim().now() - t0;
   return sim::MBPerSec(

@@ -17,7 +17,7 @@ int main() {
   Table table({"bytes", "one-way latency (us)"});
   for (std::uint32_t len : {4u, 8u, 16u, 32u, 64u, 96u, 128u, 160u, 192u,
                             256u, 384u, 512u}) {
-    TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024, /*threads=*/0);  // 0: VMMC_THREADS
+    TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024);
     PingPongResult r;
     RunPingPong(fx, len, /*iters=*/200, r);
     table.AddRow({FormatSize(len), FormatDouble(r.one_way_us, 2)});

@@ -22,12 +22,12 @@ int main() {
     const int iters = len >= 262144 ? 8 : (len >= 4096 ? 32 : 100);
     PingPongResult pp;
     {
-      TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024, /*threads=*/0);  // 0: VMMC_THREADS
+      TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024);
       RunPingPong(fx, len, iters, pp);
     }
     double bidir = 0;
     {
-      TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024, /*threads=*/0);  // 0: VMMC_THREADS
+      TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024);
       bidir = RunBidirectional(fx, len, iters);
     }
     table.AddRow({FormatSize(len), FormatDouble(pp.bandwidth_mb_s, 1),

@@ -20,7 +20,7 @@ int main() {
   Table table({"bytes", "sync (us)", "async (us)"});
   for (std::uint32_t len : {4u, 16u, 32u, 64u, 96u, 128u, 160u, 256u, 512u,
                             1024u, 2048u, 4096u}) {
-    TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024, /*threads=*/0);  // 0: VMMC_THREADS
+    TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024);
     OverheadResult r;
     RunSendOverhead(fx, len, /*iters=*/100, r);
     table.AddRow({FormatSize(len), FormatDouble(r.sync_us, 2),

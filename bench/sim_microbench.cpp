@@ -2,17 +2,17 @@
 // where wall time is the right metric), using google-benchmark.
 //
 // The BM_Macro* entries run whole-stack workloads (boot, mapping, LCP,
-// multi-switch fabric) and report events/sec — scripts/check_wallclock.py
-// records them in BENCH_sim.json and gates regressions in ctest.
+// multi-switch fabric) and report events/sec next to their wall time per
+// iteration — scripts/check_wallclock.py records the time per iteration
+// (and the engine microbenches' events/sec) in BENCH_sim.json and gates
+// regressions in ctest.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "bench_common.h"
 #include "vmmc/vmmc/p2p.h"
-#include "vmmc/vmmc/runtime.h"
 #include "vmmc/coll/communicator.h"
 #include "vmmc/myrinet/topology.h"
 #include "vmmc/sim/fault.h"
@@ -119,7 +119,7 @@ void BM_Rng(benchmark::State& state) {
 BENCHMARK(BM_Rng);
 
 // ---------------------------------------------------------------------------
-// Macro benchmarks: whole-stack workloads, reported as engine events/sec.
+// Macro benchmarks: whole-stack workloads, gated on wall time per iteration.
 // ---------------------------------------------------------------------------
 
 // 64-node fat-tree ring allreduce (the coll_scale_test workload at full
@@ -268,122 +268,6 @@ void BM_MacroRendezvousStream(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_MacroRendezvousStream)->Unit(benchmark::kMillisecond);
-
-// The allreduce macro on the partitioned cluster (vmmc/runtime.h), worker
-// count as the benchmark argument. /1 runs the serial substrate — the
-// reference the threaded rows are measured against; any /N row computes
-// the identical allreduce (worker-count-invariant schedule). Wall-clock
-// scaling requires real cores: on a single-CPU host the threaded rows
-// only measure synchronization overhead.
-void BM_MacroAllreduce64Par(benchmark::State& state) {
-  using vmmc::coll::CommOptions;
-  using vmmc::coll::Communicator;
-  using vmmc::vmmc_core::ClusterOptions;
-  using vmmc::vmmc_core::ClusterRuntime;
-  using vmmc::vmmc_core::RuntimeOptions;
-  constexpr int kNodes = 64;
-  constexpr std::size_t kElems = 64;
-  const int threads = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    vmmc::Params params;
-    auto options = ClusterOptions::FromSpec("fattree:64@16");
-    if (!options.ok()) {
-      state.SkipWithError("cluster spec failed");
-      return;
-    }
-    RuntimeOptions rt;
-    rt.threads = threads;
-    ClusterRuntime runtime(params, options.value(), rt);
-    vmmc::vmmc_core::Cluster& cluster = runtime.cluster();
-    if (!cluster.Boot().ok()) {
-      state.SkipWithError("boot failed");
-      return;
-    }
-    std::vector<std::unique_ptr<Communicator>> comms(kNodes);
-    std::atomic<int> created{0};
-    auto create = [&cluster, &comms, &created](int r) -> Process {
-      CommOptions copts;
-      copts.lazy_links = true;
-      auto c = co_await Communicator::Create(cluster, r, kNodes, "world", copts);
-      if (c.ok()) comms[static_cast<std::size_t>(r)] = std::move(c).value();
-      created.fetch_add(1, std::memory_order_relaxed);
-    };
-    for (int r = 0; r < kNodes; ++r) cluster.node_sim(r).Spawn(create(r));
-    if (!cluster.DriveUntil([&] {
-          return created.load(std::memory_order_relaxed) == kNodes;
-        })) {
-      state.SkipWithError("communicator setup stalled");
-      return;
-    }
-    std::atomic<int> finished{0};
-    auto run = [&comms, &finished](int r) -> Process {
-      std::vector<std::int64_t> values(kElems * kNodes,
-                                       static_cast<std::int64_t>(r));
-      (void)co_await comms[static_cast<std::size_t>(r)]->AllReduceSum(values);
-      finished.fetch_add(1, std::memory_order_relaxed);
-    };
-    for (int r = 0; r < kNodes; ++r) cluster.node_sim(r).Spawn(run(r));
-    if (!cluster.DriveUntil([&] {
-          return finished.load(std::memory_order_relaxed) == kNodes;
-        })) {
-      state.SkipWithError("allreduce did not finish");
-      return;
-    }
-    events += cluster.events_processed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_MacroAllreduce64Par)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// The fault-sweep macro on the partitioned two-node cluster: go-back-N
-// retransmission under per-shard deterministic packet loss, crossing the
-// NIC-switch-NIC shard boundaries (including cross-shard drop notices).
-void BM_MacroFaultSweepPar(benchmark::State& state) {
-  using namespace vmmc;
-  using namespace vmmc::bench;
-  constexpr std::uint32_t kLen = 4096;
-  constexpr int kIters = 200;
-  const int threads = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    TwoNodeFixture fx(DefaultParams(), 2 * 1024 * 1024, threads);
-    LinkFaultRule rule;
-    rule.drop_rate = 0.02;
-    rule.bitflip_rate = 0.01;
-    fx.runtime().ConfigureFaults(
-        FaultPlan::AllLinks(rule, /*seed=*/0xAB1FA017ull));
-    const auto& rstats = fx.cluster().node(1).lcp->stats();
-    const std::uint64_t expect =
-        rstats.bytes_received + static_cast<std::uint64_t>(kLen) * kIters;
-    bool sends_done = false;
-    auto stream = [&]() -> Process {
-      std::vector<std::uint8_t> payload(kLen, 0x5A);
-      (void)fx.a().WriteBuffer(fx.a_src(), payload);
-      for (int i = 0; i < kIters; ++i) {
-        (void)co_await fx.a().SendMsg(fx.a_src(), fx.a_to_b(), kLen);
-      }
-      sends_done = true;
-    };
-    fx.sim().Spawn(stream());
-    if (!fx.cluster().DriveUntil(
-            [&] { return sends_done && rstats.bytes_received >= expect; })) {
-      state.SkipWithError("stream stalled");
-      return;
-    }
-    events += fx.cluster().events_processed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_MacroFaultSweepPar)
-    ->Arg(1)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

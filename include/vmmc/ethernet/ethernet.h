@@ -5,14 +5,6 @@
 // Model: a shared 10 Mb/s segment; a frame owns the medium for its
 // serialization time; messages larger than the MTU are fragmented and pay
 // per-frame overhead. Delivery is per-node mailboxes.
-//
-// Parallel partitioning: the shared Segment is a logical process of its
-// own — medium arbitration is inherently serial — while each Interface
-// lives on its node's shard. On a partitioned cluster SendTo completes at
-// handoff to the segment (a non-blocking send; the wire time is modelled
-// on the segment's shard), and delivery crosses back to the destination
-// node's shard. Single-simulator clusters keep the fully synchronous
-// behaviour below, bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +37,6 @@ class Interface {
       : sim_(sim), segment_(segment), node_id_(node_id) {}
 
   int node_id() const { return node_id_; }
-  // The node shard this interface executes on (== the segment's simulator
-  // unless the cluster is partitioned).
-  sim::Simulator& simulator() const { return sim_; }
 
   // Binds a port; returns the mailbox datagrams to that port land in.
   Result<sim::Mailbox<Datagram>*> Bind(std::uint16_t port);
@@ -83,12 +72,8 @@ class Segment {
   Segment& operator=(const Segment&) = delete;
 
   const EthernetParams& params() const { return params_; }
-  sim::Simulator& simulator() const { return sim_; }
 
-  // The second form places the interface on `sim` (the node's shard on a
-  // partitioned cluster); the first uses the segment's own simulator.
   Interface& AddInterface(int node_id);
-  Interface& AddInterface(int node_id, sim::Simulator& sim);
   Interface* FindInterface(int node_id);
 
   // Transmits `dgram` on the shared medium: acquires it, holds it for the

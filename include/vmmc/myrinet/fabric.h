@@ -19,20 +19,8 @@
 // output drains — head-of-line blocking. Incast and tree saturation
 // therefore emerge from the model instead of being scripted; see
 // DESIGN.md "Multi-switch fabrics".
-// Parallel partitioning (see sim/parallel.h and DESIGN.md "Threading
-// model"): every switch and NIC may be assigned its own shard Simulator
-// at construction time. A link is owned by its *source* component's shard
-// — Send executes there — and delivery to a destination on another shard
-// crosses through the engine's SPSC channels with the link's propagation
-// delay as lookahead. Wormhole stall-backs and drop notices are the two
-// backward (zero-lookahead) edges; both are monotone or queue-posted, so
-// the at-most-one-window delivery delay the engine imposes on them
-// changes timing marginally but never correctness. When every component
-// uses one simulator (the default single-thread mode), all of this
-// collapses to the direct calls below.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -76,17 +64,7 @@ class Link {
   Link(sim::Simulator& sim, const NetParams& params, sim::Rng& rng);
 
   void set_destination(Endpoint* dst) { dst_ = dst; }
-  // Partitioned wiring: `dst_sim` is the simulator the destination
-  // endpoint executes on. When it differs from this link's owner and both
-  // belong to a ParallelEngine, delivery crosses shards via PostRemote.
-  void set_destination(Endpoint* dst, sim::Simulator* dst_sim) {
-    dst_ = dst;
-    dst_sim_ = dst_sim;
-  }
   Endpoint* destination() const { return dst_; }
-
-  // The simulator Send/StallUntil must execute on (the source side's).
-  sim::Simulator& owner() const { return sim_; }
 
   // Fabric-assigned identity, used to address this link in a FaultPlan
   // (fault.h): flat id plus (origin switch, port) or origin NIC. Links
@@ -130,7 +108,6 @@ class Link {
   const NetParams& params_;
   sim::Rng& rng_;
   Endpoint* dst_ = nullptr;
-  sim::Simulator* dst_sim_ = nullptr;  // destination's shard (partitioned)
   sim::LinkSite site_;
   sim::Tick busy_until_ = 0;
   std::uint64_t packets_ = 0;
@@ -159,7 +136,6 @@ class Switch : public Endpoint {
 
   int id() const { return id_; }
   int num_ports() const { return static_cast<int>(out_links_.size()); }
-  sim::Simulator& simulator() const { return sim_; }
   void AttachOutput(int port, Link* link) {
     out_links_.at(static_cast<std::size_t>(port)) = link;
   }
@@ -205,10 +181,6 @@ class Switch : public Endpoint {
   // Places a routed packet in `port`'s queue, or stalls `from` and retries
   // when the queue cannot take it.
   void Enqueue(int port, Packet packet, Link* from);
-  // StallUntil on `from`, routed to its owner shard when that differs
-  // from this switch's (the zero-lookahead backward edge of the wormhole
-  // model; StallUntil is monotone-max, so late application is safe).
-  void StallLink(Link* from, sim::Tick until);
   // Sends queued packets onto `port`'s wire as it frees up, in order.
   void DrainPort(int port);
 
@@ -244,23 +216,10 @@ class Fabric {
 
   // --- topology construction ---
   // Adds a crossbar of `num_ports` ports; returns its switch id (0-based).
-  // The second form places the switch LP on `sim` (a ParallelEngine
-  // shard); the first uses the fabric's construction simulator.
   int AddSwitch(int num_ports = 8);
-  int AddSwitch(sim::Simulator& sim, int num_ports);
-  // Partition hook consulted by the one-argument AddSwitch: maps the
-  // about-to-be-created switch id to its shard simulator. Installed by the
-  // cluster assembly *before* running a topology builder, so the builders
-  // themselves stay shard-oblivious.
-  using SwitchShardPlanner = std::function<sim::Simulator&(int switch_id)>;
-  void SetSwitchShardPlanner(SwitchShardPlanner planner) {
-    switch_planner_ = std::move(planner);
-  }
   // Registers a NIC endpoint; returns its nic id (0-based, == node id by
-  // convention). The second form records the shard simulator the NIC
-  // executes on, so links toward it deliver cross-shard.
+  // convention).
   int AddNic(Endpoint* nic);
-  int AddNic(Endpoint* nic, sim::Simulator& sim);
   // Wires NIC <-> switch port with a link pair.
   Status ConnectNic(int nic_id, int switch_id, int port);
   // Wires switch a, port pa <-> switch b, port pb with a link pair.
@@ -298,9 +257,7 @@ class Fabric {
   void SetRouteOracle(RouteOracle oracle) { oracle_ = std::move(oracle); }
 
   std::uint64_t total_link_packets() const;
-  std::uint64_t drop_notices() const {
-    return drop_notices_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t drop_notices() const { return drop_notices_; }
   // Fabric-wide congestion totals (sums over switches; ns / counts).
   sim::Tick total_queue_wait() const;
   std::uint64_t total_hol_stalls() const;
@@ -319,7 +276,6 @@ class Fabric {
   std::vector<std::unique_ptr<Switch>> switches_;
   struct NicAttachment {
     Endpoint* endpoint = nullptr;
-    sim::Simulator* sim = nullptr;  // the NIC's shard; null = fabric's sim
     Link* to_switch = nullptr;   // nic -> fabric
     Link* from_switch = nullptr; // fabric -> nic
     int switch_id = -1;
@@ -328,22 +284,14 @@ class Fabric {
   std::vector<NicAttachment> nics_;
   std::vector<std::unique_ptr<Link>> links_;
   RouteOracle oracle_;
-  SwitchShardPlanner switch_planner_;
-  // Atomic: drops on different switch shards may notice concurrently.
-  std::atomic<std::uint64_t> drop_notices_{0};
-  // Per-nic pending route corruptions. Pre-sized on partitioned fabrics
-  // (first sharded AddSwitch/AddNic) so concurrent per-nic slot writes
-  // never reallocate.
-  std::vector<int> corrupt_next_;
+  std::uint64_t drop_notices_ = 0;
+  std::vector<int> corrupt_next_;  // per-nic pending route corruptions
 
-  // A link owned by (executing its Send on) `owner`'s shard; metrics bind
-  // into `owner`'s registry, merged at dump time.
-  Link* NewLink(sim::Simulator& owner);
+  // A new link with its metrics bound into the simulator's registry.
+  Link* NewLink();
   // Delivers a switch-dropped packet back to its source NIC's
   // OnPacketDropped (through the event queue, so ordering stays FIFO).
-  // `from_sim` is the dropping switch's shard, whose registry takes the
-  // fabric.drop_notices count (shard counts sum at merge time).
-  void NotifyDrop(sim::Simulator& from_sim, Packet&& packet);
+  void NotifyDrop(Packet&& packet);
 };
 
 // Topology builders create the switch mesh and return the switch/port slot

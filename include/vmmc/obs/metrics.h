@@ -27,7 +27,6 @@ class Counter {
  public:
   void Inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
-  void MergeFrom(const Counter& other) { value_ += other.value_; }
 
  private:
   std::uint64_t value_ = 0;
@@ -46,13 +45,6 @@ class Gauge {
   double max() const { return seen_ ? max_ : 0.0; }
   // Time-weighted mean over [first Set, now]; 0 before any Set.
   double TimeWeightedMean(sim::Tick now) const;
-
-  // Approximate cross-shard fold: levels sum (two shards' queue depths
-  // add), extremes take the per-shard extremes (a lower bound on the true
-  // combined extreme — concurrent peaks on different shards are not
-  // reconstructed), and the time-weighted integral sums over the union of
-  // both observation windows.
-  void MergeFrom(const Gauge& other);
 
  private:
   double value_ = 0.0;
@@ -80,10 +72,6 @@ class Histo {
   double max() const { return stats_.max(); }
   // Estimated quantile from the log2 buckets (exact for count 0/1).
   double Quantile(double q) const;
-
-  // Exact fold: the fixed bucket layout makes the merged histogram
-  // identical to one that Observed every sample of both.
-  void MergeFrom(const Histo& other);
 
  private:
   OnlineStats stats_;
@@ -120,14 +108,6 @@ class Registry {
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histos_.size();
   }
-
-  // Folds every instrument of `other` into this registry, creating
-  // instruments that don't exist here yet. Counters and histograms merge
-  // exactly; gauges approximately (see Gauge::MergeFrom). Used by the
-  // parallel engine to combine per-shard registries into one dump
-  // (ParallelEngine::MergeMetricsInto) — shard-unique names (node3.*)
-  // simply coexist, shared names (fabric totals) aggregate.
-  void MergeFrom(const Registry& other);
 
   // Snapshot as a JSON object (deterministic: sorted names, fixed float
   // formatting) or as a stats.h table for terminal output.

@@ -2,14 +2,11 @@
 //
 // The Simulator owns a time-ordered queue of callbacks. Hardware and
 // software components are modelled as coroutines (see process.h) that
-// suspend on awaitables whose wake-ups flow through this queue, so each
+// suspend on awaitables whose wake-ups flow through this queue, so the
 // Simulator is single-threaded and deterministic: events at equal
 // times fire in scheduling order (FIFO tie-break on a sequence number).
-// A run uses either one standalone Simulator for the whole system (the
-// serial substrate behind every golden number in EXPERIMENTS.md) or many
-// of them as shards of a sim::ParallelEngine (parallel.h), which runs
-// lookahead-wide time windows on worker threads; all code modelled
-// *inside* a shard stays single-threaded either way.
+// One Simulator drives the whole modelled system (see DESIGN.md
+// "Single-threaded by design").
 //
 // The queue is built for wall-clock throughput (see "Event engine
 // internals" in ARCHITECTURE.md): events live in pool-allocated intrusive
@@ -29,7 +26,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -43,8 +39,6 @@
 #include "vmmc/sim/time.h"
 
 namespace vmmc::sim {
-
-class ParallelEngine;
 
 namespace detail {
 
@@ -105,9 +99,6 @@ class InlineFn {
 
 class Simulator {
  public:
-  // Sentinel returned by next_event_time() for an empty queue.
-  static constexpr Tick kNoEventTime = std::numeric_limits<Tick>::max();
-
   Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
@@ -213,37 +204,6 @@ class Simulator {
 
   // Runs all events with time <= t; leaves now() == t.
   void RunUntilTime(Tick t);
-
-  // --- parallel-engine hooks (see sim/parallel.h) ---
-
-  // Marks this simulator as shard `shard_id` of `engine`. Called by
-  // ParallelEngine::AddShard. Detaches the simulator from the global log
-  // clock: with several shards advancing concurrently there is no single
-  // "current" sim time for log lines to stamp.
-  void BindShard(ParallelEngine* engine, int shard_id);
-  // The owning engine, or nullptr for a standalone simulator. Components
-  // use this to route cross-shard events through PostRemote instead of At.
-  ParallelEngine* engine() const { return engine_; }
-  int shard_id() const { return shard_id_; }
-
-  // Time of the earliest queued event, or Tick max if the queue is empty.
-  // The parallel engine's window-selection scan; O(1).
-  Tick next_event_time() const {
-    Tick t = fifo_head_ != nullptr ? now_ : kNoEventTime;
-    if (tail_head_ != nullptr) t = std::min(t, tail_head_->time);
-    if (!heap_.empty()) t = std::min(t, heap_.front().time);
-    if (!placed_.empty()) t = std::min(t, placed_.front()->time);
-    return t;
-  }
-
-  // Runs all events with time < end, strictly, then parks now() on the
-  // window edge (like RunUntilTime, but exclusive of `end`). Parking is
-  // what keeps every shard's clock identical between engine iterations:
-  // work injected at one shard's now() between runs is at a globally
-  // consistent instant, and a lookahead-respecting cross-shard event can
-  // never arrive behind its receiver's clock. Returns the number of
-  // events dispatched.
-  std::uint64_t RunWindow(Tick end);
 
   // Runs until pred() is true (checked after every event). Returns true if
   // the predicate was satisfied, false if the queue drained first.
@@ -419,8 +379,6 @@ class Simulator {
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
   const EventNode* current_ = nullptr;  // the event being dispatched
-  ParallelEngine* engine_ = nullptr;  // owning engine when sharded
-  int shard_id_ = -1;
   obs::Registry metrics_;
   obs::Tracer tracer_{&now_};
   FaultInjector faults_{&now_, &metrics_};

@@ -14,16 +14,11 @@
 //    in-flight copy of a packet never corrupts the retx-pool's copy.
 //  - Read access is const-only: there is no mutable operator[]/begin/end,
 //    so a read like `payload[0]` can never trigger an accidental unshare.
-//  - Thread safety matches the parallel engine's needs (sim/parallel.h):
-//    ref counts are atomic (a packet's payload crosses LP shards by
-//    reference), and the recycling pool is thread-local so steady-state
-//    alloc/free takes no lock. A block released on a different thread
-//    than it was allocated on simply joins the releasing thread's pool.
-//    Distinct Buffer objects may be used from distinct threads; a single
-//    Buffer object is still single-owner, like any value type.
+//  - Single-threaded, like the simulator that moves the bytes: the ref
+//    count is a plain integer and the recycling pool is one process-wide
+//    set of free lists.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -38,10 +33,7 @@ namespace vmmc::util {
 class Buffer {
  public:
   // Pool observability (see buffer_test.cpp and the allocation-count
-  // tests): cumulative counters since thread start. The pool — and these
-  // stats — are thread-local; live_blocks is signed because a block
-  // allocated on one thread may be released on another, driving one
-  // thread's count negative and the other's high (the sum stays exact).
+  // tests): cumulative counters since process start.
   struct PoolStats {
     std::uint64_t allocs = 0;       // block requests (any source)
     std::uint64_t pool_hits = 0;    // ... served from a free list
@@ -86,14 +78,10 @@ class Buffer {
 
   Buffer(const Buffer& other) noexcept
       : block_(other.block_), size_(other.size_) {
-    if (block_ != nullptr) {
-      block_->refs.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (block_ != nullptr) ++block_->refs;
   }
   Buffer& operator=(const Buffer& other) noexcept {
-    if (other.block_ != nullptr) {
-      other.block_->refs.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (other.block_ != nullptr) ++other.block_->refs;
     Unref();
     block_ = other.block_;
     size_ = other.size_;
@@ -129,12 +117,7 @@ class Buffer {
   operator std::span<const std::uint8_t>() const { return {data(), size_}; }
 
   // True if no other Buffer shares the bytes (mutation won't copy).
-  // Acquire pairs with the release decrement in Unref: seeing refs == 1
-  // also sees every write the former co-owner made before letting go.
-  bool unique() const {
-    return block_ == nullptr ||
-           block_->refs.load(std::memory_order_acquire) == 1;
-  }
+  bool unique() const { return block_ == nullptr || block_->refs == 1; }
 
   // Write access to the bytes; un-shares first. nullptr when empty.
   std::uint8_t* MutableData() {
@@ -197,15 +180,14 @@ class Buffer {
     return b == a;
   }
 
-  static const PoolStats& pool_stats() { return pool().stats; }
+  static const PoolStats& pool_stats() { return pool_.stats; }
 
  private:
   // Block header; payload bytes follow in the same allocation. `cls` is
   // the size-class index, or kNoClass for exact-size blocks above the
-  // largest class (freed to the heap, not pooled). refs is the only field
-  // touched concurrently (shared payloads crossing shard boundaries).
+  // largest class (freed to the heap, not pooled).
   struct Block {
-    std::atomic<std::uint32_t> refs;
+    std::uint32_t refs;
     std::uint32_t cls;
     std::size_t capacity;
     Block* next_free;
@@ -220,26 +202,11 @@ class Buffer {
   struct Pool {
     Block* free_lists[kNumClasses] = {};
     PoolStats stats;
-    // Worker threads are short-lived (one Run* call each); without this
-    // their pooled blocks would accumulate across runs.
-    ~Pool() {
-      for (Block* b : free_lists) {
-        while (b != nullptr) {
-          Block* next = b->next_free;
-          FreeHeapBlock(b);
-          b = next;
-        }
-      }
-    }
   };
-  // Thread-local: lock-free recycling for shard worker threads.
-  static Pool& pool() {
-    thread_local Pool p;
-    return p;
-  }
+  static Pool pool_;  // defined below the class
 
   static Block* Alloc(std::size_t n) {
-    Pool& p = pool();
+    Pool& p = pool_;
     ++p.stats.allocs;
     ++p.stats.live_blocks;
     if (n <= kMaxPooled) {
@@ -252,26 +219,26 @@ class Buffer {
       if (Block* b = p.free_lists[cls]; b != nullptr) {
         p.free_lists[cls] = b->next_free;
         ++p.stats.pool_hits;
-        b->refs.store(1, std::memory_order_relaxed);
+        b->refs = 1;
         return b;
       }
       ++p.stats.heap_allocs;
       auto* b = static_cast<Block*>(::operator new(sizeof(Block) + capacity));
-      b->refs.store(1, std::memory_order_relaxed);
+      b->refs = 1;
       b->cls = cls;
       b->capacity = capacity;
       return b;
     }
     ++p.stats.heap_allocs;
     auto* b = static_cast<Block*>(::operator new(sizeof(Block) + n));
-    b->refs.store(1, std::memory_order_relaxed);
+    b->refs = 1;
     b->cls = kNoClass;
     b->capacity = n;
     return b;
   }
 
   static void Release(Block* b) {
-    Pool& p = pool();
+    Pool& p = pool_;
     --p.stats.live_blocks;
     if (b->cls != kNoClass) {
       b->next_free = p.free_lists[b->cls];
@@ -287,20 +254,14 @@ class Buffer {
   static void FreeHeapBlock(Block* b);
 
   void Unref() {
-    // acq_rel: the release half orders this owner's writes before the
-    // drop; the acquire half (taken by whoever hits zero) orders the
-    // block's recycling after every other owner's writes.
-    if (block_ != nullptr &&
-        block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      Release(block_);
-    }
+    if (block_ != nullptr && --block_->refs == 0) Release(block_);
   }
 
   // Ensures block_ is an unshared block of capacity >= n holding the
   // first size_ bytes of the current content.
   void Unshare(std::size_t n) {
     if (unique() && block_->capacity >= n) return;
-    ++pool().stats.unshares;
+    ++pool_.stats.unshares;
     Block* fresh = Alloc(n);
     std::memcpy(fresh->bytes(), block_->bytes(), size_);
     Unref();
@@ -318,5 +279,11 @@ class Buffer {
   Block* block_ = nullptr;
   std::size_t size_ = 0;
 };
+
+// One pool for the process. Constant-initialized and trivially
+// destructible: no guard on access, and no teardown-order hazard for a
+// Buffer destroyed after main() returns. Blocks still on the free lists
+// at exit stay reachable from here.
+inline constinit Buffer::Pool Buffer::pool_{};
 
 }  // namespace vmmc::util

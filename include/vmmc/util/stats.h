@@ -13,9 +13,6 @@ namespace vmmc {
 class OnlineStats {
  public:
   void Add(double x);
-  // Folds another accumulator in (Chan's parallel-Welford combination);
-  // the result is as if every sample of both had been Add'ed here.
-  void MergeFrom(const OnlineStats& other);
 
   std::uint64_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }

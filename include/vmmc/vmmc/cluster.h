@@ -2,18 +2,8 @@
 // Myrinet interfaces on a Myrinet switch, plus an Ethernet for the daemons
 // (§5.1). Boot() performs the §4.3 sequence: load the mapping LCP on every
 // interface, map and verify the network, then replace the mapping LCP with
-// the VMMC LCP and start daemons and drivers.
-//
-// Two execution substrates (see vmmc/runtime.h for the env-driven
-// front-end):
-//  - Single simulator (the historical ctor): every component shares one
-//    event queue; behaviour is bit-identical to all prior releases.
-//  - Partitioned (the ParallelEngine ctor): each node (host + NIC +
-//    daemon), each switch, and the Ethernet segment becomes a logical
-//    process on its own engine shard; shard assignment is a pure function
-//    of the topology (nothing about thread counts), so any worker count
-//    replays the identical execution. Drive a partitioned cluster through
-//    DriveUntil/DriveUntilQuiescent, never through simulator().Run*.
+// the VMMC LCP and start daemons and drivers. Every component of every
+// node runs on the one Simulator the cluster is built on.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +16,6 @@
 #include "vmmc/lanai/nic_card.h"
 #include "vmmc/myrinet/fabric.h"
 #include "vmmc/params.h"
-#include "vmmc/sim/parallel.h"
 #include "vmmc/sim/simulator.h"
 #include "vmmc/vmmc/api.h"
 #include "vmmc/vmmc/daemon.h"
@@ -66,12 +55,6 @@ class Cluster {
   };
 
   Cluster(sim::Simulator& sim, const Params& params, ClusterOptions options);
-  // Partitioned cluster: allocates one engine shard per node, per switch,
-  // and for the Ethernet segment (plus a control shard the boot sequence
-  // and OpenEndpoint structures live on). The engine must outlive the
-  // cluster and must not have been run yet.
-  Cluster(sim::ParallelEngine& engine, const Params& params,
-          ClusterOptions options);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -83,30 +66,6 @@ class Cluster {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   Node& node(int i) { return nodes_.at(static_cast<std::size_t>(i)); }
   sim::Simulator& simulator() { return sim_; }
-
-  // --- substrate-neutral driving (works for both ctors) ---
-  bool parallel() const { return engine_ != nullptr; }
-  sim::ParallelEngine* engine() { return engine_; }
-  // The simulator node `i`'s components execute on. Workloads (bench
-  // drivers, test harnesses) MUST spawn a node's processes here; on a
-  // single-simulator cluster this is simulator() itself.
-  sim::Simulator& node_sim(int i) {
-    return engine_ != nullptr
-               ? engine_->shard(node_shards_.at(static_cast<std::size_t>(i)))
-               : sim_;
-  }
-  // Runs until `pred` holds (evaluated between events / at window
-  // boundaries); returns false if the system quiesced first.
-  bool DriveUntil(std::function<bool()> pred);
-  // Runs until no events remain anywhere; returns events dispatched.
-  std::uint64_t DriveUntilQuiescent();
-  // Fleet-wide clock (max over shards) / total events dispatched.
-  sim::Tick time_now() const;
-  std::uint64_t events_processed() const;
-  // Folds every shard's metrics into `out` (single-simulator: the one
-  // registry). Use for dumps; per-instrument reads on a quiesced cluster
-  // may also go directly to the owning shard's registry.
-  void MergeMetricsInto(obs::Registry& out) const;
 
   myrinet::Fabric& fabric() { return *fabric_; }
   ethernet::Segment& ethernet() { return *ethernet_; }
@@ -120,17 +79,15 @@ class Cluster {
                                                  const std::string& name);
 
  private:
-  // Shared tail of both ctors: topology, nodes, interfaces, daemons.
+  // Topology, nodes, interfaces, daemons.
   void Assemble();
 
   sim::Simulator& sim_;
-  sim::ParallelEngine* engine_ = nullptr;  // null = single-simulator mode
   Params params_;
   ClusterOptions options_;
   std::unique_ptr<myrinet::Fabric> fabric_;
   std::unique_ptr<ethernet::Segment> ethernet_;
   std::vector<Node> nodes_;
-  std::vector<int> node_shards_;  // node id -> engine shard (parallel only)
   bool booted_ = false;
   sim::Tick boot_time_ = 0;
 };

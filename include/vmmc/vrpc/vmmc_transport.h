@@ -43,7 +43,7 @@ class VmmcServerTransport : public ServerTransport {
         node_(node),
         service_(std::move(service)),
         compat_(compat),
-        idle_wait_(cluster.node_sim(node), cluster.params().vrpc.poll) {}
+        idle_wait_(cluster.simulator(), cluster.params().vrpc.poll) {}
 
   struct Slot {
     mem::VirtAddr va = 0;
@@ -80,7 +80,7 @@ class VmmcClientTransport : public ClientTransport {
       : cluster_(cluster),
         node_(node),
         compat_(compat),
-        reply_wait_(cluster.node_sim(node), cluster.params().vrpc.poll) {}
+        reply_wait_(cluster.simulator(), cluster.params().vrpc.poll) {}
 
   vmmc_core::Cluster& cluster_;
   int node_;

@@ -10,12 +10,10 @@ Three jobs, all cheap enough for ctest:
      than DRIFT (2%) fails the test: either the code regressed or the
      tables were not refreshed after a deliberate timing change.
   3. Re-run every binary listed in the "Determinism fingerprints"
-     section under its documented VMMC_THREADS setting and require the
-     md5 of the fresh stdout to equal the documented hash. The serial rows
-     pin bit-stability of every bench and example (a change that claims
-     to alter only wall-clock speed must leave them all equal); the fig2
-     multi-thread row pins worker-count independence of simulated time.
-     Every binary passed in must have a row.
+     section and require the md5 of the fresh stdout to equal the
+     documented hash. The rows pin bit-stability of every bench and
+     example (a change that claims to alter only wall-clock speed must
+     leave them all equal). Every binary passed in must have a row.
 
 Usage:
   check_docs.py <experiments.md> <fig2_bench> <fig3_bench> <example>...
@@ -38,14 +36,9 @@ def fail(msg):
     sys.exit(1)
 
 
-def run(cmd, env=None):
-    full_env = None
-    if env:
-        full_env = dict(os.environ)
-        full_env.update(env)
+def run(cmd):
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, timeout=600,
-                          env=full_env)
+                          stderr=subprocess.DEVNULL, timeout=600)
     if proc.returncode != 0:
         fail("command %r exited with %d" % (cmd, proc.returncode))
     return proc.stdout.decode("utf-8", errors="replace")
@@ -148,10 +141,8 @@ def main():
 
     failures = []
 
-    # 2a. Figure 2: | bytes | measured µs |. The tables document the
-    # serial substrate, so pin VMMC_THREADS rather than inherit it.
-    fig2 = parse_bench(run([fig2_bench], env={"VMMC_THREADS": "1"}),
-                       columns=1)
+    # 2a. Figure 2: | bytes | measured µs |
+    fig2 = parse_bench(run([fig2_bench]), columns=1)
     rows = table_rows(section(text, "Figure 2"))
     if not rows:
         fail("Figure 2 section has no table rows")
@@ -163,8 +154,7 @@ def main():
                   fig2[key][0], failures)
 
     # 2b. Figure 3: | bytes | ping-pong MB/s | bidirectional MB/s |
-    fig3 = parse_bench(run([fig3_bench], env={"VMMC_THREADS": "1"}),
-                       columns=2)
+    fig3 = parse_bench(run([fig3_bench]), columns=2)
     rows = table_rows(section(text, "Figure 3"))
     if not rows:
         fail("Figure 3 section has no table rows")
@@ -177,34 +167,27 @@ def main():
         check_row("fig3", key, "bidirectional MB/s", cell_value(cells[2]),
                   fig3[key][1], failures)
 
-    # 2c. Determinism fingerprints: each row is "VMMC_THREADS=<n>
-    # ./build/<dir>/<binary>" and the md5 of that run's stdout.
+    # 2c. Determinism fingerprints: each row is "./build/<dir>/<binary>"
+    # and the md5 of that run's stdout.
     binaries = {os.path.basename(b): b
                 for b in [fig2_bench, fig3_bench] + examples + fingerprinted}
     n_hashes = 0
-    fig2_threads = set()
     covered = set()
     for cells in table_rows(section(text, "Determinism fingerprints")):
-        m = re.search(r"VMMC_THREADS=(\d+) \./build/\w+/(\w+)", cells[0])
+        m = re.search(r"\./build/\w+/(\w+)", cells[0])
         h = re.search(r"[0-9a-f]{32}", cells[1])
         if m is None or h is None:
             fail("unparsable fingerprint row %r" % cells)
-        threads, name, doc_hash = m.group(1), m.group(2), h.group(0)
+        name, doc_hash = m.group(1), h.group(0)
         if name not in binaries:
             fail("fingerprint row names %r, which was not passed in" % name)
-        out = run([binaries[name]], env={"VMMC_THREADS": threads})
+        out = run([binaries[name]])
         fresh = hashlib.md5(out.encode("utf-8")).hexdigest()
         if fresh != doc_hash:
-            failures.append(
-                "%s fingerprint VMMC_THREADS=%s: doc %s, fresh %s"
-                % (name, threads, doc_hash, fresh))
+            failures.append("%s fingerprint: doc %s, fresh %s"
+                            % (name, doc_hash, fresh))
         n_hashes += 1
         covered.add(name)
-        if binaries[name] == fig2_bench:
-            fig2_threads.add(threads)
-    if "1" not in fig2_threads or len(fig2_threads) < 2:
-        fail("Determinism fingerprints section needs a single-thread and a "
-             "multi-thread fig2 row, found %s" % sorted(fig2_threads))
     missing = sorted(name for name in binaries if name not in covered)
     if missing:
         fail("no fingerprint row for: " + ", ".join(missing))

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Wall-clock regression gate for the simulation engine.
 
-Runs sim_microbench (google-benchmark JSON output), extracts events/sec
-(items_per_second) for the gated benchmarks, writes the fresh numbers to
-BENCH_sim.json in the working directory, and fails if any gated benchmark
-regressed more than the allowed fraction against the recorded baseline.
+Runs sim_microbench (google-benchmark JSON output), scores the gated
+benchmarks, writes the fresh scores to BENCH_sim.json in the working
+directory, and fails if any gated benchmark regressed more than the
+allowed fraction against the recorded baseline.
 
 Usage:
   check_wallclock.py <sim_microbench> <baseline.json> [--update] [--out FILE]
@@ -12,72 +12,67 @@ Usage:
 With --update the recorded baseline itself is rewritten (run after an
 intentional engine change, on the machine that records baselines).
 
-On hosts with at least 8 cores the gate additionally requires the
-8-worker partitioned allreduce macro to run >= 2x faster than the same
-macro on one worker; on smaller hosts the ratio is reported only.
+Two kinds of row, each scored on what it is for:
 
-The baseline stores events/sec per benchmark. Wall-clock numbers move with
-the host, so the gate is deliberately loose (25%): it exists to catch "the
-engine got structurally slower" (an accidental per-event allocation, a
-heap regression), not scheduler jitter.
+  * Engine microbenches (dispatch, resume, delay chain, mailbox) do a
+    fixed amount of queue work per iteration, so they are scored in
+    events/sec (google-benchmark items_per_second, higher is better).
+  * Whole-stack macros are scored in wall milliseconds per iteration
+    (google-benchmark real_time, lower is better). Events/sec would
+    punish a change that computes the same result with fewer events.
+
+Wall-clock numbers move with the host, so the gate is deliberately loose
+(25% for both kinds): it exists to catch "the engine got structurally
+slower" (an accidental per-event allocation, a heap regression), not
+scheduler jitter. A row fails when fresh/baseline events/sec, or
+baseline/fresh ms per iteration, falls below 0.75.
 """
 
 import json
-import os
 import subprocess
 import sys
 
-# Engine throughput benches plus the whole-stack macros. BM_Rng etc. are
-# not gated: they measure other things and would only add noise.
-GATED = [
+# Scored on events/sec. BM_Rng etc. are not gated: they measure other
+# things and would only add noise.
+RATE_ROWS = [
     "BM_EventDispatch",
     "BM_CoroutineResume",
     "BM_CoroutineDelayChain",
     "BM_MailboxHandoff",
+]
+# Scored on wall ms per iteration.
+TIME_ROWS = [
     "BM_MacroAllreduce64",
     "BM_MacroFaultSweepReplay",
     "BM_MacroRendezvousStream",
-    "BM_MacroAllreduce64Par/1",
-    "BM_MacroAllreduce64Par/8",
-    # Parity row only: multi-worker runs of the tiny 2-node fault-sweep
-    # fixture are synchronization-bound (window-by-window stall/retx
-    # ping-pong), so BM_MacroFaultSweepPar/8 measures the host scheduler,
-    # not the engine — it stays runnable but ungated.
-    "BM_MacroFaultSweepPar/1",
 ]
 ALLOWED_REGRESSION = 0.25
 
-# Parallel-engine scaling gate: the 8-worker 64-node allreduce macro must
-# beat the 1-worker partitioned run by this factor. Wall-clock speedup
-# needs real cores, so the gate only arms on hosts with >= MIN_CORES; on
-# smaller machines (CI containers pinned to one core) the ratio is printed
-# but not enforced.
-SPEEDUP_NUM = "BM_MacroAllreduce64Par/8"
-SPEEDUP_DEN = "BM_MacroAllreduce64Par/1"
-MIN_SPEEDUP = 2.0
-MIN_CORES = 8
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 
 def run_bench(bench_path):
-    bench_filter = "^(" + "|".join(GATED) + ")$"
+    gated = RATE_ROWS + TIME_ROWS
     cmd = [
         bench_path,
-        f"--benchmark_filter={bench_filter}",
+        "--benchmark_filter=^(" + "|".join(gated) + ")$",
         "--benchmark_format=json",
     ]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         sys.exit(f"FAIL: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    data = json.loads(proc.stdout)
-    results = {}
-    for b in data.get("benchmarks", []):
+    rates, times = {}, {}
+    for b in json.loads(proc.stdout).get("benchmarks", []):
         name = b.get("name", "")
-        if name in GATED and "items_per_second" in b:
-            results[name] = b["items_per_second"]
-    missing = [n for n in GATED if n not in results]
+        if name in RATE_ROWS and "items_per_second" in b:
+            rates[name] = b["items_per_second"]
+        elif name in TIME_ROWS and "real_time" in b:
+            times[name] = b["real_time"] * MS_PER_UNIT[b.get("time_unit", "ns")]
+    missing = [n for n in RATE_ROWS if n not in rates]
+    missing += [n for n in TIME_ROWS if n not in times]
     if missing:
         sys.exit(f"FAIL: benchmarks missing from output: {missing}")
-    return results
+    return rates, times
 
 
 def main():
@@ -91,9 +86,10 @@ def main():
         if f.startswith("--out="):
             out_path = f.split("=", 1)[1]
 
-    results = run_bench(bench_path)
+    rates, times = run_bench(bench_path)
     payload = {
-        "events_per_second": {k: round(v) for k, v in results.items()},
+        "events_per_second": {k: round(v) for k, v in rates.items()},
+        "ms_per_iteration": {k: round(v, 3) for k, v in times.items()},
     }
     with open(out_path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -108,44 +104,36 @@ def main():
         return
 
     with open(baseline_path) as f:
-        baseline = json.load(f)["events_per_second"]
+        baseline = json.load(f)
 
+    limit = 1.0 - ALLOWED_REGRESSION
     failures = []
-    for name in GATED:
-        base = baseline.get(name)
+    # (name, fresh, baseline, ratio >= 1 means no slower, unit)
+    rows = []
+    for name in RATE_ROWS:
+        base = baseline.get("events_per_second", {}).get(name)
+        rows.append((name, rates[name], base,
+                     None if base is None else rates[name] / base, "ev/s"))
+    for name in TIME_ROWS:
+        base = baseline.get("ms_per_iteration", {}).get(name)
+        rows.append((name, times[name], base,
+                     None if base is None else base / times[name], "ms"))
+    for name, fresh, base, ratio, unit in rows:
         if base is None:
             failures.append(f"{name}: no baseline recorded")
             continue
-        fresh = results[name]
-        ratio = fresh / base
         status = "ok"
-        if ratio < 1.0 - ALLOWED_REGRESSION:
+        if ratio < limit:
             status = "REGRESSION"
-            failures.append(
-                f"{name}: {fresh:,.0f} events/s vs baseline {base:,.0f} "
-                f"({ratio:.2f}x, limit {1.0 - ALLOWED_REGRESSION:.2f}x)"
-            )
-        print(f"  {name:28s} {fresh:14,.0f} ev/s  baseline {base:14,.0f}  "
-              f"{ratio:5.2f}x  {status}")
-
-    speedup = results[SPEEDUP_NUM] / results[SPEEDUP_DEN]
-    cores = os.cpu_count() or 1
-    if cores >= MIN_CORES:
-        print(f"  8-worker speedup {speedup:.2f}x over 1 worker "
-              f"(require >= {MIN_SPEEDUP:.1f}x, {cores} cores)")
-        if speedup < MIN_SPEEDUP:
-            failures.append(
-                f"parallel engine speedup {speedup:.2f}x < {MIN_SPEEDUP:.1f}x "
-                f"({SPEEDUP_NUM} vs {SPEEDUP_DEN})"
-            )
-    else:
-        print(f"  8-worker speedup {speedup:.2f}x over 1 worker "
-              f"(gate skipped: host has {cores} cores, need {MIN_CORES})")
+            failures.append(f"{name}: {fresh:,.3f} {unit} vs baseline "
+                            f"{base:,.3f} ({ratio:.2f}x, limit {limit:.2f}x)")
+        print(f"  {name:28s} {fresh:16,.3f} {unit:4s}  baseline "
+              f"{base:16,.3f}  {ratio:5.2f}x  {status}")
 
     if failures:
-        sys.exit("FAIL: events/sec regression:\n  " + "\n  ".join(failures))
-    print("OK: no wall-clock regression beyond "
-          f"{ALLOWED_REGRESSION:.0%} of baseline")
+        sys.exit("FAIL: wall-clock regression:\n  " + "\n  ".join(failures))
+    print(f"OK: no wall-clock regression beyond {ALLOWED_REGRESSION:.0%} "
+          "of baseline")
 
 
 if __name__ == "__main__":

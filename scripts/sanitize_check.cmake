@@ -1,11 +1,10 @@
 # Configure, build and run a set of tests under a sanitizer.
-# Driven by the `sanitize_core_tests` and `tsan_engine_tests` ctest entries:
+# Driven by the `sanitize_core_tests` ctest entry:
 #   cmake -DVMMC_SRC=<src> -DVMMC_BIN=<bin> [-DVMMC_SAN=<list>]
 #         [-DVMMC_TESTS=<list>] -P sanitize_check.cmake
 # Defaults cover the tests that exercise the event-node pool, InlineFn
 # storage, the placed-event queue, the intrusive write-watch list and the
-# Buffer ref-count/pool code most heavily under ASan + UBSan; the TSan entry passes VMMC_SAN=thread and the parallel
-# engine test instead (worker threads + SPSC channels + atomics).
+# Buffer ref-count/pool code most heavily under ASan + UBSan.
 
 if(NOT VMMC_SRC OR NOT VMMC_BIN)
   message(FATAL_ERROR "usage: cmake -DVMMC_SRC=<src> -DVMMC_BIN=<bin> -P sanitize_check.cmake")
@@ -16,7 +15,7 @@ if(NOT VMMC_SAN)
 endif()
 if(NOT VMMC_TESTS)
   set(VMMC_TESTS sim_test sim_determinism_test spin_wait_test task_test
-      topology_test)
+      topology_test buffer_test)
 endif()
 
 set(_tests ${VMMC_TESTS})

@@ -74,7 +74,7 @@ sim::Process Communicator::EnsureOne(Communicator* self, int peer,
 }
 
 sim::Task<Status> Communicator::EnsureLinks(int a, int b) {
-  sim::Simulator& sim = cluster_.node_sim(rank_);
+  sim::Simulator& sim = cluster_.simulator();
   int pending = 0;
   Status first_error = OkStatus();
   host::SpinWait done(sim, 500);

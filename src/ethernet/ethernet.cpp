@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "vmmc/sim/parallel.h"
-
 namespace vmmc::ethernet {
 
 Result<sim::Mailbox<Datagram>*> Interface::Bind(std::uint16_t port) {
@@ -28,19 +26,6 @@ sim::Process Interface::SendTo(int dst_node, std::uint16_t dst_port,
   d.dst_port = dst_port;
   d.src_port = src_port;
   d.payload = std::move(payload);
-  sim::ParallelEngine* eng = sim_.engine();
-  sim::Simulator& seg_sim = segment_.simulator();
-  if (eng != nullptr && &seg_sim != &sim_) {
-    // Partitioned: hand the datagram to the segment LP and complete — a
-    // non-blocking send. Serialization and medium contention are modelled
-    // on the segment's shard from the handoff instant onward.
-    Segment* seg = &segment_;
-    eng->PostRemote(sim_.shard_id(), seg_sim.shard_id(), sim_.now(),
-                    [seg, dg = std::move(d)]() mutable {
-                      seg->simulator().Spawn(seg->Transmit(std::move(dg)));
-                    });
-    co_return;
-  }
   co_await segment_.Transmit(std::move(d));
 }
 
@@ -55,12 +40,8 @@ void Interface::Deliver(Datagram dgram) {
 }
 
 Interface& Segment::AddInterface(int node_id) {
-  return AddInterface(node_id, sim_);
-}
-
-Interface& Segment::AddInterface(int node_id, sim::Simulator& sim) {
   assert(FindInterface(node_id) == nullptr && "duplicate node id");
-  interfaces_.push_back(std::make_unique<Interface>(sim, *this, node_id));
+  interfaces_.push_back(std::make_unique<Interface>(sim_, *this, node_id));
   return *interfaces_.back();
 }
 
@@ -80,16 +61,6 @@ sim::Process Segment::Transmit(Datagram dgram) {
   Interface* dst = FindInterface(dgram.dst_node);
   // Unknown destinations vanish, as on a real wire.
   if (dst == nullptr) co_return;
-  sim::ParallelEngine* eng = sim_.engine();
-  if (eng != nullptr && &dst->simulator() != &sim_) {
-    // Back to the destination node's shard (zero-lookahead edge: arrives
-    // at its next window boundary).
-    eng->PostRemote(sim_.shard_id(), dst->simulator().shard_id(), sim_.now(),
-                    [dst, dg = std::move(dgram)]() mutable {
-                      dst->Deliver(std::move(dg));
-                    });
-    co_return;
-  }
   dst->Deliver(std::move(dgram));
 }
 

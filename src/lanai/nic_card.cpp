@@ -7,10 +7,7 @@ namespace vmmc::lanai {
 
 Status NicCard::AttachToFabric(int switch_id, int port) {
   if (nic_id_ >= 0) return FailedPrecondition("already attached");
-  // Registering sim_ makes the fabric shard-aware: on a partitioned
-  // cluster this NIC's inbound link delivers across shards; on a
-  // single-simulator cluster the two simulators coincide.
-  nic_id_ = fabric_.AddNic(this, sim_);
+  nic_id_ = fabric_.AddNic(this);
   Status s = fabric_.ConnectNic(nic_id_, switch_id, port);
   if (!s.ok()) {
     nic_id_ = -1;

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <string>
 
-#include "vmmc/sim/parallel.h"
 #include "vmmc/util/log.h"
 
 namespace vmmc::myrinet {
@@ -74,18 +73,6 @@ void Link::Send(Packet packet) {
   if (fate.drop) return;
   const sim::Tick head = start + params_.link_latency + fate.extra_delay;
   const sim::Tick tail = start + ser + params_.link_latency + fate.extra_delay;
-
-  // Cross-shard delivery: head >= now + link_latency, so this edge always
-  // respects the engine's lookahead — it lands in a future window, never
-  // clamped. This is THE forward edge conservative sync is built around.
-  sim::ParallelEngine* eng = sim_.engine();
-  if (eng != nullptr && dst_sim_ != nullptr && dst_sim_ != &sim_) {
-    eng->PostRemote(sim_.shard_id(), dst_sim_->shard_id(), head,
-                    [this, pkt = std::move(packet), tail]() mutable {
-                      dst_->OnPacket(std::move(pkt), tail, this);
-                    });
-    return;
-  }
   sim_.At(head, [this, pkt = std::move(packet), tail]() mutable {
     dst_->OnPacket(std::move(pkt), tail, this);
   });
@@ -138,7 +125,7 @@ void Switch::Enqueue(int port, Packet packet, Link* from) {
     if (hol_stall_ns_m_ != nullptr) {
       hol_stall_ns_m_->Inc(static_cast<std::uint64_t>(stalled));
     }
-    if (from != nullptr) StallLink(from, retry);
+    if (from != nullptr) from->StallUntil(retry);
     sim_.At(retry, [this, port, pkt = std::move(packet), from]() mutable {
       Enqueue(port, std::move(pkt), from);
     });
@@ -150,20 +137,6 @@ void Switch::Enqueue(int port, Packet packet, Link* from) {
     op.draining = true;
     DrainPort(port);
   }
-}
-
-void Switch::StallLink(Link* from, sim::Tick until) {
-  sim::ParallelEngine* eng = sim_.engine();
-  if (eng != nullptr && &from->owner() != &sim_) {
-    // Backward zero-lookahead edge: the stall reaches the upstream shard
-    // at its next window boundary, <= one lookahead late. StallUntil only
-    // ever extends occupancy, so a late stall under-reports backpressure
-    // by at most that window — it cannot corrupt link state.
-    eng->PostRemote(sim_.shard_id(), from->owner().shard_id(), sim_.now(),
-                    [from, until] { from->StallUntil(until); });
-    return;
-  }
-  from->StallUntil(until);
 }
 
 void Switch::DrainPort(int port) {
@@ -190,38 +163,26 @@ void Switch::DrainPort(int port) {
   sim_.At(out->busy_until(), [this, port] { DrainPort(port); });
 }
 
-void Fabric::NotifyDrop(sim::Simulator& from_sim, Packet&& packet) {
+void Fabric::NotifyDrop(Packet&& packet) {
   if (packet.src_nic < 0 || packet.src_nic >= num_nics()) return;
-  const NicAttachment& att = nics_[static_cast<std::size_t>(packet.src_nic)];
-  Endpoint* src = att.endpoint;
+  Endpoint* src = nics_[static_cast<std::size_t>(packet.src_nic)].endpoint;
   if (src == nullptr) return;
-  drop_notices_.fetch_add(1, std::memory_order_relaxed);
-  from_sim.metrics().GetCounter("fabric.drop_notices").Inc();
+  ++drop_notices_;
+  sim_.metrics().GetCounter("fabric.drop_notices").Inc();
   // Through the event queue: the switch is mid-OnPacket here, and the
   // notice models an out-of-band backward signal, not a synchronous call
-  // into the source NIC. A source NIC on another shard gets the notice at
-  // its next window boundary (zero-lookahead edge, clamped at drain).
-  sim::Simulator* dst = att.sim != nullptr ? att.sim : &sim_;
-  sim::ParallelEngine* eng = from_sim.engine();
-  if (eng != nullptr && dst != &from_sim) {
-    eng->PostRemote(from_sim.shard_id(), dst->shard_id(), from_sim.now(),
-                    [src, pkt = std::move(packet)]() mutable {
-                      src->OnPacketDropped(pkt);
-                    });
-    return;
-  }
-  from_sim.Post(
-      [src, pkt = std::move(packet)]() { src->OnPacketDropped(pkt); });
+  // into the source NIC.
+  sim_.Post([src, pkt = std::move(packet)]() { src->OnPacketDropped(pkt); });
 }
 
-Link* Fabric::NewLink(sim::Simulator& owner) {
+Link* Fabric::NewLink() {
   const std::string prefix =
       "fabric.link" + std::to_string(links_.size()) + ".";
-  links_.push_back(std::make_unique<Link>(owner, params_, rng_));
+  links_.push_back(std::make_unique<Link>(sim_, params_, rng_));
   sim::LinkSite site;
   site.link_id = static_cast<int>(links_.size()) - 1;
   links_.back()->set_site(site);
-  obs::Registry& m = owner.metrics();
+  obs::Registry& m = sim_.metrics();
   links_.back()->BindMetrics(&m.GetCounter(prefix + "packets"),
                              &m.GetCounter(prefix + "bytes"),
                              &m.GetCounter(prefix + "ser_ns"),
@@ -230,36 +191,17 @@ Link* Fabric::NewLink(sim::Simulator& owner) {
 }
 
 int Fabric::AddSwitch(int num_ports) {
-  sim::Simulator& sim =
-      switch_planner_ ? switch_planner_(num_switches()) : sim_;
-  return AddSwitch(sim, num_ports);
-}
-
-int Fabric::AddSwitch(sim::Simulator& sim, int num_ports) {
-  // The per-packet error model draws from one fabric-wide RNG stream; on
-  // a partitioned fabric that stream would be consumed from several
-  // shards at once. Fault plans (per-shard FaultInjector streams) cover
-  // the lossy cases in parallel runs.
-  assert((&sim == &sim_ || params_.packet_error_rate == 0.0) &&
-         "packet_error_rate needs the single-simulator fabric");
   const int id = num_switches();
-  switches_.push_back(std::make_unique<Switch>(sim, params_, id, num_ports));
+  switches_.push_back(std::make_unique<Switch>(sim_, params_, id, num_ports));
   const std::string prefix = "fabric.switch" + std::to_string(id) + ".";
-  obs::Registry& m = sim.metrics();
+  obs::Registry& m = sim_.metrics();
   switches_.back()->BindMetrics(&m.GetCounter(prefix + "forwarded"),
                                 &m.GetCounter(prefix + "dropped"),
                                 &m.GetCounter(prefix + "queue_wait_ns"),
                                 &m.GetCounter(prefix + "hol_stalls"),
                                 &m.GetCounter(prefix + "hol_stall_ns"));
-  Switch* sw = switches_.back().get();
-  sw->set_drop_handler([this, sw](Packet&& pkt) {
-    NotifyDrop(sw->simulator(), std::move(pkt));
-  });
-  if (&sim != &sim_) {
-    corrupt_next_.resize(
-        std::max(corrupt_next_.size(), static_cast<std::size_t>(num_nics())),
-        0);
-  }
+  switches_.back()->set_drop_handler(
+      [this](Packet&& pkt) { NotifyDrop(std::move(pkt)); });
   return id;
 }
 
@@ -267,17 +209,6 @@ int Fabric::AddNic(Endpoint* nic) {
   NicAttachment att;
   att.endpoint = nic;
   nics_.push_back(att);
-  return num_nics() - 1;
-}
-
-int Fabric::AddNic(Endpoint* nic, sim::Simulator& sim) {
-  NicAttachment att;
-  att.endpoint = nic;
-  att.sim = &sim;
-  nics_.push_back(att);
-  // Pre-size so concurrent per-nic writes in Inject never reallocate.
-  corrupt_next_.resize(
-      std::max(corrupt_next_.size(), static_cast<std::size_t>(num_nics())), 0);
   return num_nics() - 1;
 }
 
@@ -292,18 +223,15 @@ Status Fabric::ConnectNic(int nic_id, int switch_id, int port) {
   if (port < 0 || port >= sw.num_ports()) return InvalidArgument("bad port");
   if (sw.output(port) != nullptr) return AlreadyExists("switch port in use");
 
-  // Link ownership follows the source side: the NIC's shard serializes
-  // outbound packets, the switch's shard serializes inbound ones.
-  sim::Simulator& nic_sim = att.sim != nullptr ? *att.sim : sim_;
-  att.to_switch = NewLink(nic_sim);
-  att.to_switch->set_destination(&sw, &sw.simulator());
+  att.to_switch = NewLink();
+  att.to_switch->set_destination(&sw);
   {
     sim::LinkSite site = att.to_switch->site();
     site.src_nic = nic_id;
     att.to_switch->set_site(site);
   }
-  att.from_switch = NewLink(sw.simulator());
-  att.from_switch->set_destination(att.endpoint, &nic_sim);
+  att.from_switch = NewLink();
+  att.from_switch->set_destination(att.endpoint);
   {
     sim::LinkSite site = att.from_switch->site();
     site.switch_id = switch_id;
@@ -328,8 +256,8 @@ Status Fabric::ConnectSwitches(int a, int pa, int b, int pb) {
   if (sa.output(pa) != nullptr || sb.output(pb) != nullptr) {
     return AlreadyExists("switch port in use");
   }
-  Link* ab = NewLink(sa.simulator());
-  ab->set_destination(&sb, &sb.simulator());
+  Link* ab = NewLink();
+  ab->set_destination(&sb);
   {
     sim::LinkSite site = ab->site();
     site.switch_id = a;
@@ -337,8 +265,8 @@ Status Fabric::ConnectSwitches(int a, int pa, int b, int pb) {
     ab->set_site(site);
   }
   sa.AttachOutput(pa, ab);
-  Link* ba = NewLink(sb.simulator());
-  ba->set_destination(&sa, &sa.simulator());
+  Link* ba = NewLink();
+  ba->set_destination(&sa);
   {
     sim::LinkSite site = ba->site();
     site.switch_id = b;

@@ -1,15 +1,14 @@
 #include "vmmc/sim/simulator.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "vmmc/util/log.h"
 
 namespace vmmc::sim {
 
 // The most recently constructed simulator provides the log timestamp
-// context; nested/concurrent simulators in one process (tests) simply
-// hand it back when they go away.
+// context; several simulators alive at once in one process (tests)
+// simply hand it back when they go away.
 Simulator::Simulator() { SetLogSimClock(&now_); }
 
 namespace {
@@ -17,13 +16,8 @@ namespace {
 // Pool blocks outlive individual Simulators: short-lived simulators
 // (benches, tests) would otherwise free megabytes of node storage on
 // every teardown, which glibc trims back to the kernel and the next
-// Simulator pays to fault in and zero again. The cache is process-wide
-// while shard simulators run on worker threads, hence the mutex — it is
-// only touched on construction/teardown/refill, never per event.
-std::mutex& BlockCacheMutex() {
-  static std::mutex m;
-  return m;
-}
+// Simulator pays to fault in and zero again. Touched only on teardown
+// and refill, never per event.
 std::vector<std::unique_ptr<unsigned char[]>>& BlockCache() {
   static std::vector<std::unique_ptr<unsigned char[]>> cache;
   return cache;
@@ -41,7 +35,6 @@ Simulator::~Simulator() {
   for (EventNode* n = fifo_head_; n != nullptr; n = n->next) n->fn.Reset();
   for (EventNode* n = tail_head_; n != nullptr; n = n->next) n->fn.Reset();
   for (EventNode* n : placed_) n->fn.Reset();
-  std::lock_guard<std::mutex> lock(BlockCacheMutex());
   auto& cache = BlockCache();
   for (auto& block : pool_blocks_) {
     if (cache.size() >= kBlockCacheMax) break;
@@ -49,22 +42,12 @@ Simulator::~Simulator() {
   }
 }
 
-void Simulator::BindShard(ParallelEngine* engine, int shard_id) {
-  engine_ = engine;
-  shard_id_ = shard_id;
-  // now_ must not feed the process-global log clock once other shards can
-  // advance concurrently on other threads.
-  if (GetLogSimClock() == &now_) SetLogSimClock(nullptr);
-}
-
 void Simulator::RefillPool() {
-  std::unique_lock<std::mutex> lock(BlockCacheMutex());
   auto& cache = BlockCache();
   if (!cache.empty()) {
     pool_blocks_.push_back(std::move(cache.back()));
     cache.pop_back();
   } else {
-    lock.unlock();
     // for_overwrite: the block is raw storage for placement-new'd nodes;
     // value-initializing it would memset the whole block for nothing.
     pool_blocks_.push_back(std::make_unique_for_overwrite<unsigned char[]>(
@@ -190,30 +173,6 @@ bool Simulator::Step() {
 std::uint64_t Simulator::Run(std::uint64_t max_events) {
   std::uint64_t n = 0;
   while (n < max_events && Step()) ++n;
-  return n;
-}
-
-std::uint64_t Simulator::RunWindow(Tick end) {
-  std::uint64_t n = 0;
-  for (;;) {
-    if (fifo_head_ != nullptr) {  // now-FIFO events are at now() < end
-      Step();
-      ++n;
-      continue;
-    }
-    const bool tail_due = tail_head_ != nullptr && tail_head_->time < end;
-    const bool heap_due = !heap_.empty() && heap_.front().time < end;
-    const bool placed_due = !placed_.empty() && placed_.front()->time < end;
-    if (!tail_due && !heap_due && !placed_due) break;
-    Step();
-    ++n;
-  }
-  // Advance to the window boundary even when idle. Every shard's clock
-  // lands on the same boundary each iteration, so shard clocks never
-  // diverge: work injected between engine runs (spawns at a shard-local
-  // now()) is at a consistent global instant, and a cross-shard event
-  // that respects the lookahead is never behind its receiver's clock.
-  if (end > now_) now_ = end;
   return n;
 }
 

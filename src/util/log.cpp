@@ -1,11 +1,9 @@
 #include "vmmc/util/log.h"
 
-#include <atomic>
-
 namespace vmmc {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
+LogLevel g_level = LogLevel::kWarn;
 const std::int64_t* g_sim_now = nullptr;
 
 std::string_view LevelName(LogLevel level) {
@@ -27,11 +25,9 @@ std::string_view LevelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
+LogLevel GetLogLevel() { return g_level; }
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
+void SetLogLevel(LogLevel level) { g_level = level; }
 
 LogLevel ParseLogLevel(std::string_view name) {
   if (name == "trace") return LogLevel::kTrace;

@@ -44,31 +44,6 @@ Cluster::Cluster(sim::Simulator& sim, const Params& params,
   Assemble();
 }
 
-Cluster::Cluster(sim::ParallelEngine& engine, const Params& params,
-                 ClusterOptions options)
-    // Shard 0 is the control shard: boot-sequence plumbing, OpenEndpoint
-    // structures, and the fallback simulator for unsharded fabric pieces.
-    : sim_(engine.shard(engine.AddShard())),
-      engine_(&engine),
-      params_(params),
-      options_(options) {
-  assert(params_.net.packet_error_rate == 0.0 &&
-         "partitioned fabrics require packet_error_rate == 0 (use fault "
-         "plans instead)");
-  fabric_ = std::make_unique<myrinet::Fabric>(sim_, params_.net);
-  // One shard per switch, allocated as the topology builder creates them
-  // (switch-id order — deterministic, and independent of thread counts).
-  fabric_->SetSwitchShardPlanner(
-      [&engine](int /*switch_id*/) -> sim::Simulator& {
-        return engine.shard(engine.AddShard());
-      });
-  // The shared segment serializes medium arbitration on a shard of its own.
-  ethernet_ = std::make_unique<ethernet::Segment>(
-      engine.shard(engine.AddShard()), params_.ethernet);
-  // Node shards are allocated inside Assemble, in node-id order.
-  Assemble();
-}
-
 void Cluster::Assemble() {
   myrinet::TopologyPlan plan;
   switch (options_.topology) {
@@ -115,59 +90,27 @@ void Cluster::Assemble() {
   nodes_.resize(static_cast<std::size_t>(options_.num_nodes));
   for (int i = 0; i < options_.num_nodes; ++i) {
     Node& n = nodes_[static_cast<std::size_t>(i)];
-    // Partitioned: host + NIC + daemon of node i form one LP on a fresh
-    // shard; every component below builds against that shard's simulator.
-    if (engine_ != nullptr) node_shards_.push_back(engine_->AddShard());
-    sim::Simulator& nsim = node_sim(i);
-    n.machine = std::make_unique<host::Machine>(nsim, params_, i,
+    n.machine = std::make_unique<host::Machine>(sim_, params_, i,
                                                 options_.mem_bytes_per_node);
-    n.nic = std::make_unique<lanai::NicCard>(nsim, params_, *n.machine, *fabric_);
+    n.nic = std::make_unique<lanai::NicCard>(sim_, params_, *n.machine, *fabric_);
     const auto& slot = plan.nic_slots[static_cast<std::size_t>(i)];
     Status attached = n.nic->AttachToFabric(slot.switch_id, slot.port);
     assert(attached.ok());
     (void)attached;
     assert(n.nic->nic_id() == i && "nic id must equal node id");
-    n.eth = &ethernet_->AddInterface(i, nsim);
+    n.eth = &ethernet_->AddInterface(i);
     n.daemon = std::make_unique<VmmcDaemon>(params_, i, n.machine->kernel(),
                                             *n.nic, *n.eth);
-  }
-}
-
-bool Cluster::DriveUntil(std::function<bool()> pred) {
-  if (engine_ != nullptr) return engine_->RunUntil(std::move(pred));
-  return sim_.RunUntil(pred);
-}
-
-std::uint64_t Cluster::DriveUntilQuiescent() {
-  if (engine_ != nullptr) return engine_->RunUntilQuiescent();
-  return sim_.Run();
-}
-
-sim::Tick Cluster::time_now() const {
-  return engine_ != nullptr ? engine_->now() : sim_.now();
-}
-
-std::uint64_t Cluster::events_processed() const {
-  return engine_ != nullptr ? engine_->events_processed()
-                            : sim_.events_processed();
-}
-
-void Cluster::MergeMetricsInto(obs::Registry& out) const {
-  if (engine_ != nullptr) {
-    engine_->MergeMetricsInto(out);
-  } else {
-    out.MergeFrom(sim_.metrics());
   }
 }
 
 Status Cluster::Boot() {
   if (booted_) return FailedPrecondition("already booted");
 
-  // Phase 1: every daemon loads the network-mapping LCP (§4.3). Each LCP's
-  // wait-objects live on its node's shard.
+  // Phase 1: every daemon loads the network-mapping LCP (§4.3).
   std::vector<MappingLcp*> mappers;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto mapper = std::make_unique<MappingLcp>(node_sim(static_cast<int>(i)));
+    auto mapper = std::make_unique<MappingLcp>(sim_);
     mappers.push_back(mapper.get());
     nodes_[i].nic->LoadLcp(std::move(mapper));
   }
@@ -193,10 +136,9 @@ Status Cluster::Boot() {
     }
   };
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    node_sim(static_cast<int>(i))
-        .Spawn(Runner::Map(*nodes_[i].nic, *mappers[i], num_nodes(), jobs[i]));
+    sim_.Spawn(Runner::Map(*nodes_[i].nic, *mappers[i], num_nodes(), jobs[i]));
   }
-  const bool mapped = DriveUntil([&] {
+  const bool mapped = sim_.RunUntil([&] {
     for (const MapJob& j : jobs) {
       if (!j.done) return false;
     }
@@ -211,7 +153,7 @@ Status Cluster::Boot() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     mappers[i]->RequestStop(*nodes_[i].nic);
   }
-  const bool stopped = DriveUntil([&] {
+  const bool stopped = sim_.RunUntil([&] {
     for (MappingLcp* m : mappers) {
       if (!m->stopped().is_set()) return false;
     }
@@ -226,7 +168,7 @@ Status Cluster::Boot() {
     n.lcp = lcp.get();
     n.nic->LoadLcp(std::move(lcp));
   }
-  const bool lcps_up = DriveUntil([&] {
+  const bool lcps_up = sim_.RunUntil([&] {
     for (Node& n : nodes_) {
       if (!n.lcp->running()) return false;
     }
@@ -244,7 +186,7 @@ Status Cluster::Boot() {
   }
 
   booted_ = true;
-  boot_time_ = time_now();
+  boot_time_ = sim_.now();
   VMMC_LOG(kInfo, "cluster") << "booted " << num_nodes() << " nodes in "
                              << sim::ToMicroseconds(boot_time_) << " us";
   return OkStatus();

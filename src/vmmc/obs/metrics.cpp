@@ -50,20 +50,6 @@ void Gauge::Set(sim::Tick now, double v) {
   max_ = std::max(max_, v);
 }
 
-void Gauge::MergeFrom(const Gauge& other) {
-  if (!other.seen_) return;
-  if (!seen_) {
-    *this = other;
-    return;
-  }
-  value_ += other.value_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  weighted_sum_ += other.weighted_sum_;
-  first_ = std::min(first_, other.first_);
-  last_ = std::max(last_, other.last_);
-}
-
 double Gauge::TimeWeightedMean(sim::Tick now) const {
   if (!seen_) return 0.0;
   const sim::Tick span = now - first_;
@@ -77,12 +63,6 @@ void Histo::Observe(double v) {
   stats_.Add(v);
   sum_ += v;
   ++buckets_[BucketIndex(v)];
-}
-
-void Histo::MergeFrom(const Histo& other) {
-  stats_.MergeFrom(other.stats_);
-  sum_ += other.sum_;
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
 }
 
 double Histo::Quantile(double q) const {
@@ -125,12 +105,6 @@ Histo& Registry::GetHisto(const std::string& name) {
   auto& slot = histos_[name];
   if (!slot) slot = std::make_unique<Histo>();
   return *slot;
-}
-
-void Registry::MergeFrom(const Registry& other) {
-  for (const auto& [name, c] : other.counters_) GetCounter(name).MergeFrom(*c);
-  for (const auto& [name, g] : other.gauges_) GetGauge(name).MergeFrom(*g);
-  for (const auto& [name, h] : other.histos_) GetHisto(name).MergeFrom(*h);
 }
 
 std::uint64_t Registry::CounterValue(const std::string& name) const {

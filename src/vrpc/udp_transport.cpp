@@ -1,7 +1,5 @@
 #include "vmmc/vrpc/udp_transport.h"
 
-#include <atomic>
-
 namespace vmmc::vrpc {
 
 sim::Process UdpServerTransport::Serve(RawHandler handler) {

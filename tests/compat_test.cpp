@@ -1,11 +1,10 @@
 // Tests for the comparison systems: the SHRIMP platform (§6) and the
-// Fast Messages / PM / Myrinet API / Active Messages layers (§7).
+// Fast Messages / PM / Myrinet API layers (§7).
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "co_test_util.h"
-#include "vmmc/compat/am.h"
 #include "vmmc/compat/fm.h"
 #include "vmmc/compat/mapi.h"
 #include "vmmc/compat/pm.h"
@@ -328,67 +327,6 @@ TEST_F(MapiTest, NoReliability_CorruptedMessagesSilentlyLost) {
   sim_.Spawn(prog());
   sim_.RunUntil([&] { return done; });
   EXPECT_TRUE(got.empty()) << "the Myrinet API has no reliable delivery (§7)";
-}
-
-// ---------------- Active Messages over VMMC ----------------
-
-TEST(AmTest, RequestReplyRoundTrip) {
-  sim::Simulator sim;
-  Params params;
-  vmmc_core::ClusterOptions options;
-  options.num_nodes = 2;
-  vmmc_core::Cluster cluster(sim, params, options);
-  ASSERT_TRUE(cluster.Boot().ok());
-
-  auto a = AmEndpoint::Create(cluster, 0);
-  auto b = AmEndpoint::Create(cluster, 1);
-  ASSERT_TRUE(a.ok() && b.ok());
-
-  b.value()->RegisterRequestHandler(42, [](const AmEndpoint::Payload& args) {
-    AmEndpoint::Payload reply{};
-    for (std::size_t i = 0; i < args.size(); ++i) reply[i] = args[i] * 2;
-    return reply;
-  });
-
-  bool done = false;
-  AmEndpoint::Payload reply{};
-  auto prog = [&]() -> sim::Process {
-    Status c = co_await a.value()->Connect(*b.value());
-    CO_ASSERT_TRUE(c.ok());
-    sim.Spawn(b.value()->ServeLoop());
-    AmEndpoint::Payload args{};
-    for (std::uint32_t i = 0; i < args.size(); ++i) args[i] = i + 1;
-    auto r = co_await a.value()->Request(1, 42, args);
-    CO_ASSERT_TRUE(r.ok());
-    reply = r.value();
-    b.value()->StopServing();
-    done = true;
-  };
-  sim.Spawn(prog());
-  ASSERT_TRUE(sim.RunUntil([&] { return done; }, 50'000'000));
-  for (std::uint32_t i = 0; i < reply.size(); ++i) EXPECT_EQ(reply[i], (i + 1) * 2);
-  EXPECT_EQ(b.value()->requests_served(), 1u);
-}
-
-TEST(AmTest, RequestToUnconnectedNodeFails) {
-  sim::Simulator sim;
-  Params params;
-  vmmc_core::ClusterOptions options;
-  options.num_nodes = 2;
-  vmmc_core::Cluster cluster(sim, params, options);
-  ASSERT_TRUE(cluster.Boot().ok());
-  auto a = AmEndpoint::Create(cluster, 0);
-  ASSERT_TRUE(a.ok());
-  bool done = false;
-  Status status = OkStatus();
-  auto prog = [&]() -> sim::Process {
-    auto r = co_await a.value()->Request(1, 1, {});
-    status = r.status();
-    done = true;
-  };
-  sim.Spawn(prog());
-  sim.RunUntil([&] { return done; });
-  EXPECT_EQ(status.code(), ErrorCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -14,8 +14,9 @@ the determinism contract in DESIGN.md bans):
   R2  unordered-iter        Iteration over std::unordered_map/unordered_set in
                             sim-visible code. Hash order is
                             implementation-defined; when iteration order feeds
-                            event scheduling the headline guarantee (bit-equal
-                            results for any VMMC_THREADS) silently breaks.
+                            event scheduling the headline guarantee (same
+                            seed, bit-equal results on any host) silently
+                            breaks.
   R3  nondet-source         std::random_device, rand()/srand(), wall-clock
                             reads (system_clock/steady_clock/
                             high_resolution_clock, time(), gettimeofday, ...)
