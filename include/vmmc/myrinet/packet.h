@@ -24,14 +24,31 @@ struct Packet {
   int src_nic = -1;   // injecting NIC id (diagnostics only; not on the wire)
   Route route;        // consumed hop by hop
   Buffer payload;
-  std::uint8_t crc = 0;
 
   // Bytes occupying the wire: remaining route bytes + payload + CRC.
   std::size_t wire_bytes() const { return route.size() + payload.size() + 1; }
 
-  // Link-hardware CRC, computed at injection over the payload.
-  void StampCrc() { crc = Crc8(payload); }
-  bool CrcOk() const { return Crc8(payload) == crc; }
+  // Link-hardware CRC, stamped at injection over the payload and checked
+  // on arrival. The verdict is exactly Crc8(payload) == Crc8(bytes at the
+  // last stamp), but computed lazily: the stamp keeps a reference to the
+  // stamped bytes instead of their CRC. While `stamped_` holds that
+  // reference the block is shared, so copy-on-write sends every later
+  // write through `payload` (a fault flip, a growing resize, an assign)
+  // to a fresh block; a shrink keeps the block but not the size. Hence a
+  // payload still on the stamped block at the stamped size holds the
+  // stamped bytes, and only a changed payload pays for the two CRCs.
+  // This rests on util::Buffer's invariant that a shared block is never
+  // written: no code may write through a MutableData() pointer after
+  // that Buffer has been copied.
+  void StampCrc() { stamped_ = payload; }
+  bool CrcOk() const {
+    const bool unchanged = payload.data() == stamped_.data() &&
+                           payload.size() == stamped_.size();
+    return unchanged || Crc8(payload) == Crc8(stamped_);
+  }
+
+ private:
+  Buffer stamped_;  // the payload as stamped; empty until StampCrc()
 };
 
 }  // namespace vmmc::myrinet

@@ -14,6 +14,11 @@
 //    in-flight copy of a packet never corrupts the retx-pool's copy.
 //  - Read access is const-only: there is no mutable operator[]/begin/end,
 //    so a read like `payload[0]` can never trigger an accidental unshare.
+//  - Invariant: a block shared by two Buffers is never written. So a
+//    MutableData() pointer may be written through only until its Buffer
+//    is next copied; a later write would reach every copy at once.
+//    myrinet::Packet's lazy CRC check relies on this: it trusts a payload
+//    still on the block it stamped to hold the stamped bytes.
 //  - Single-threaded, like the simulator that moves the bytes: the ref
 //    count is a plain integer and the recycling pool is one process-wide
 //    set of free lists.

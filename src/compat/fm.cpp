@@ -23,7 +23,6 @@ void FmEndpoint::RegisterHandler(std::uint16_t id, Handler handler) {
 sim::Task<Status> FmEndpoint::Send(int dst_node, std::uint16_t id,
                                    std::vector<std::uint8_t> data) {
   sim::Simulator& sim = testbed_.simulator();
-  const Params& p = testbed_.params();
   co_await sim.Delay(800);  // thin library entry (FM favours low latency)
 
   // Fragment into 128-byte frames, PIO-copying each to the interface: no

@@ -16,12 +16,6 @@ void PutWordLE(std::vector<std::uint8_t>& buf, std::size_t off, std::uint32_t v)
       static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-std::uint32_t WordLE(const std::vector<std::uint8_t>& buf, std::size_t off) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | buf[off + static_cast<std::size_t>(i)];
-  return v;
-}
-
 // Reads one little-endian word from a buffer in simulated memory.
 std::uint32_t ReadWord(vmmc_core::Endpoint& ep, mem::VirtAddr va) {
   std::uint8_t b[4] = {0, 0, 0, 0};

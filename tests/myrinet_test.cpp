@@ -1,13 +1,19 @@
-// Tests for the Myrinet fabric: CRC-8 hardware, link timing/occupancy,
-// switch routing, multi-hop topologies and error injection.
+// Tests for the Myrinet fabric: CRC-8 hardware, the packet's lazy CRC
+// check, link timing/occupancy, switch routing, multi-hop topologies and
+// error injection.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "vmmc/myrinet/crc8.h"
 #include "vmmc/myrinet/fabric.h"
 #include "vmmc/params.h"
+#include "vmmc/sim/fault.h"
+#include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
 
 namespace vmmc::myrinet {
@@ -68,6 +74,113 @@ TEST(PacketTest, WireSizeAndCrcStamp) {
   EXPECT_TRUE(p.CrcOk());
   p.payload.MutableData()[1] ^= 0x40;
   EXPECT_FALSE(p.CrcOk());
+}
+
+// The eager CRC check the lazy one must reproduce exactly: a packet
+// passes iff its payload's CRC equals the CRC of the bytes it held at its
+// last StampCrc().
+struct OraclePacket {
+  Packet p;
+  std::vector<std::uint8_t> stamped;  // payload bytes at the last stamp
+
+  void Stamp() {
+    p.StampCrc();
+    stamped.assign(p.payload.begin(), p.payload.end());
+  }
+  bool EagerCrcOk() const { return Crc8(p.payload) == Crc8(stamped); }
+};
+
+std::vector<std::uint8_t> RandomBytes(sim::Rng& rng, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.UniformU64(256));
+  return bytes;
+}
+
+void FlipBit(Packet& p, std::size_t byte, std::uint8_t mask) {
+  p.payload.MutableData()[byte] ^= mask;
+}
+
+TEST(PacketTest, LazyCrcMatchesEagerOracleUnderRandomEdits) {
+  constexpr std::size_t kMaxPayload = 4136;
+  sim::Rng rng(0xC7C8);
+  int failing_verdicts = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // The packet and its copies, as a switch queue or retx record holds
+    // them: each shares the payload block until one of them writes.
+    std::vector<OraclePacket> copies(1);
+    copies[0].p.payload = RandomBytes(rng, rng.UniformU64(kMaxPayload + 1));
+    copies[0].Stamp();
+    for (int step = 0; step < 24; ++step) {
+      const std::size_t pick = rng.UniformU64(copies.size());
+      switch (rng.UniformU64(6)) {
+        case 0:
+          if (copies.size() < 6) copies.push_back(copies[pick]);
+          break;
+        case 1: {
+          OraclePacket& c = copies[pick];
+          if (c.p.payload.empty()) break;
+          FlipBit(c.p, rng.UniformU64(c.p.payload.size()),
+                  static_cast<std::uint8_t>(1u << rng.UniformU64(8)));
+          break;
+        }
+        case 2: {
+          OraclePacket& c = copies[pick];
+          c.p.payload.resize(rng.UniformU64(c.p.payload.size() + 1));
+          break;
+        }
+        case 3: {
+          OraclePacket& c = copies[pick];
+          const std::size_t size = c.p.payload.size();
+          c.p.payload.resize(size + rng.UniformU64(kMaxPayload - size + 1));
+          break;
+        }
+        case 4:
+          copies[pick].p.payload.assign(
+              RandomBytes(rng, rng.UniformU64(kMaxPayload + 1)));
+          break;
+        case 5:
+          copies[pick].Stamp();
+          break;
+      }
+      for (std::size_t i = 0; i < copies.size(); ++i) {
+        const bool eager = copies[i].EagerCrcOk();
+        ASSERT_EQ(copies[i].p.CrcOk(), eager)
+            << "trial " << trial << " step " << step << " copy " << i;
+        if (!eager) ++failing_verdicts;
+      }
+    }
+  }
+  EXPECT_GT(failing_verdicts, 0) << "sanity: the edits did corrupt packets";
+}
+
+TEST(PacketTest, LazyCrcSeesThroughUndoneAndUndetectableFlips) {
+  sim::Rng rng(0x5EED);
+  OraclePacket c;
+  c.p.payload = RandomBytes(rng, 256);
+  c.Stamp();
+  const OraclePacket retained = c;  // a retx record's copy
+  auto flip = [&](std::size_t byte, std::uint8_t mask) {
+    FlipBit(c.p, byte, mask);
+    EXPECT_EQ(c.p.CrcOk(), c.EagerCrcOk());
+    EXPECT_TRUE(retained.p.CrcOk());
+    EXPECT_TRUE(retained.p.payload == retained.stamped);
+  };
+
+  // A flip undone by a second flip of the same bit: the payload now lives
+  // in a fresh block, but its bytes (and so its CRC) are the stamped ones.
+  flip(7, 0x10);
+  EXPECT_FALSE(c.p.CrcOk());
+  flip(7, 0x10);
+  EXPECT_NE(c.p.payload.data(), retained.p.payload.data());
+  EXPECT_TRUE(c.p.CrcOk());
+
+  // Two flips 127 bit positions apart (MSB of byte 125, LSB of byte 140):
+  // x^127 = 1 modulo CRC-8's polynomial, so the link CRC cannot see them.
+  flip(125, 0x80);
+  EXPECT_FALSE(c.p.CrcOk());
+  flip(140, 0x01);
+  EXPECT_FALSE(c.p.payload == retained.p.payload);
+  EXPECT_TRUE(c.p.CrcOk()) << "CRC-8 misses this error, and so must CrcOk";
 }
 
 // Test endpoint recording deliveries.
@@ -259,6 +372,76 @@ TEST_F(FabricTest, ErrorInjectionCorruptsCrcButDelivers) {
   sim_.Run();
   ASSERT_EQ(b.packets.size(), 1u);
   EXPECT_FALSE(b.packets[0].CrcOk()) << "hardware CRC must flag the corruption";
+}
+
+// Checks every delivered packet's CrcOk() against the eager verdict on the
+// bytes its source injected. Packets between one pair of NICs share a
+// path, so with unbounded switch queues (no HOL retries) they arrive in
+// injection order.
+class OracleSink : public Endpoint {
+ public:
+  void OnPacket(Packet packet, Tick, Link*) override {
+    std::deque<Buffer>& queue = expected[packet.src_nic];
+    ASSERT_FALSE(queue.empty()) << "unexpected packet from nic " << packet.src_nic;
+    const Buffer sent = std::move(queue.front());
+    queue.pop_front();
+    const bool eager = Crc8(packet.payload) == Crc8(sent);
+    EXPECT_EQ(packet.CrcOk(), eager);
+    ++delivered;
+    if (packet.payload.data() != sent.data()) ++flipped;
+    if (!eager) ++crc_failures;
+  }
+  std::map<int, std::deque<Buffer>> expected;  // by source NIC
+  int delivered = 0;
+  int flipped = 0;  // payload left its injected block on some hop
+  int crc_failures = 0;
+};
+
+TEST_F(FabricTest, LazyCrcMatchesEagerOracleAcrossFaultyHops) {
+  NetParams net = params_.net;
+  net.switch_port_queue_bytes = 0;
+  Fabric fabric(sim_, net);
+  TopologyPlan plan = BuildSwitchChain(fabric, /*num_switches=*/3, /*per_switch=*/2);
+  sim::LinkFaultRule rule;
+  rule.bitflip_rate = 0.5;  // a flip on half of all link transmissions
+  sim_.faults().Configure(sim::FaultPlan::AllLinks(rule, /*seed=*/21));
+  std::vector<std::unique_ptr<OracleSink>> sinks;
+  for (const auto& slot : plan.nic_slots) {
+    sinks.push_back(std::make_unique<OracleSink>());
+    const int id = fabric.AddNic(sinks.back().get());
+    ASSERT_TRUE(fabric.ConnectNic(id, slot.switch_id, slot.port).ok());
+  }
+
+  // Short payloads make a second flip of an already flipped bit likely.
+  sim::Rng rng(0xFAB);
+  int injected = 0;
+  for (int round = 0; round < 20; ++round) {
+    for (int s = 0; s < 6; ++s) {
+      for (int d = 0; d < 6; ++d) {
+        if (s == d) continue;
+        Packet p;
+        p.route = fabric.ComputeRoute(s, d).value();
+        const std::size_t n = rng.UniformU64(2) != 0 ? 1 + rng.UniformU64(2)
+                                                    : 1 + rng.UniformU64(2048);
+        p.payload = RandomBytes(rng, n);
+        sinks[static_cast<std::size_t>(d)]->expected[s].push_back(p.payload);
+        ASSERT_TRUE(fabric.Inject(s, std::move(p)).ok());
+        ++injected;
+      }
+    }
+  }
+  sim_.Run();
+
+  int delivered = 0, flipped = 0, crc_failures = 0;
+  for (const auto& sink : sinks) {
+    delivered += sink->delivered;
+    flipped += sink->flipped;
+    crc_failures += sink->crc_failures;
+  }
+  EXPECT_EQ(delivered, injected);
+  EXPECT_GT(flipped, injected / 2) << "the fault plan must flip most packets";
+  EXPECT_GT(flipped, crc_failures) << "some flips must cancel out in flight";
+  EXPECT_GT(crc_failures, 0);
 }
 
 TEST_F(FabricTest, BadIdsRejected) {

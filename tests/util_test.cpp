@@ -83,7 +83,9 @@ TEST(TableTest, RendersAlignedColumns) {
   // Header line and each row end without trailing spaces.
   for (size_t pos = out.find('\n'); pos != std::string::npos;
        pos = out.find('\n', pos + 1)) {
-    if (pos > 0) EXPECT_NE(out[pos - 1], ' ');
+    if (pos > 0) {
+      EXPECT_NE(out[pos - 1], ' ');
+    }
   }
 }
 
