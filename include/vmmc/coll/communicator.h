@@ -80,8 +80,9 @@ class Communicator {
   // the channel then stages `data`, so the caller's bytes are free to
   // change as soon as this returns (eager and rendezvous alike).
   sim::Task<Status> SendTo(int peer, std::span<const std::uint8_t> data);
-  // Blocks until the next message from `peer` arrives; returns its bytes.
-  sim::Task<Result<std::vector<std::uint8_t>>> RecvFrom(int peer);
+  // Blocks until the next message from `peer` arrives and stores its
+  // bytes in `out` (resized to the message; its capacity is kept).
+  sim::Task<Status> RecvFrom(int peer, std::vector<std::uint8_t>& out);
 
   // --- collectives ---
   sim::Task<Status> Barrier();
@@ -141,6 +142,16 @@ class Communicator {
   std::unique_ptr<vmmc_core::Endpoint> ep_;
   std::map<int, std::unique_ptr<vmmc_core::P2pChannel>> channels_;
   std::uint64_t operations_ = 0;
+
+  // Scratch the collectives pack into and receive into. Collectives on
+  // one communicator run one at a time (MPI semantics), and these keep
+  // their capacity across steps and calls, so a warm collective does not
+  // allocate. Broadcast pieces travel through recv_bytes_; its `data`
+  // argument may be send_bytes_ but never recv_bytes_.
+  std::vector<std::uint8_t> send_bytes_;
+  std::vector<std::uint8_t> recv_bytes_;
+  std::vector<std::int64_t> recv_values_;
+  std::vector<std::uint8_t> gathered_;  // Gather output at the root
 };
 
 }  // namespace vmmc::coll

@@ -7,7 +7,6 @@
 #include <cstdint>
 
 #include "vmmc/params.h"
-#include "vmmc/sim/process.h"
 #include "vmmc/sim/simulator.h"
 
 namespace vmmc::host {
@@ -19,19 +18,20 @@ class HostCpu {
 
   const HostParams& params() const { return params_; }
 
-  // Busy-executes for `t`.
-  sim::Process Charge(sim::Tick t) { co_await sim_.Delay(t); }
+  // Busy-executes for `t` (`co_await cpu.Charge(t)`).
+  sim::Simulator::DelayAwaiter Charge(sim::Tick t) { return sim_.Delay(t); }
 
   // Cost of copying `bytes` with the library bcopy (§5.4: ~50 MB/s).
   sim::Tick BcopyCost(std::uint64_t bytes) const {
     return params_.bcopy_call + sim::NsForBytes(bytes, params_.bcopy_mb_s);
   }
 
-  // Copies `bytes` at library-bcopy speed and records the copy.
-  sim::Process Bcopy(std::uint64_t bytes) {
+  // Copies `bytes` at library-bcopy speed and records the copy
+  // (`co_await cpu.Bcopy(bytes)`).
+  sim::Simulator::DelayAwaiter Bcopy(std::uint64_t bytes) {
     bcopy_bytes_ += bytes;
     ++bcopy_calls_;
-    co_await sim_.Delay(BcopyCost(bytes));
+    return sim_.Delay(BcopyCost(bytes));
   }
 
   std::uint64_t bcopy_bytes() const { return bcopy_bytes_; }

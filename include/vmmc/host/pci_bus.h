@@ -28,9 +28,11 @@ class PciBus {
   sim::Tick PioReadCost(int words = 1) const { return words * params_.pio_read; }
   sim::Tick PioWriteCost(int words = 1) const { return words * params_.pio_write; }
 
-  // Programmed I/O across the bus; the calling coroutine is busy.
-  sim::Process PioRead(int words) { co_await sim_.Delay(PioReadCost(words)); }
-  sim::Process PioWrite(int words) { co_await sim_.Delay(PioWriteCost(words)); }
+  // Programmed I/O writes across the bus; the calling coroutine is busy
+  // (`co_await pci.PioWrite(words)`).
+  sim::Simulator::DelayAwaiter PioWrite(int words) {
+    return sim_.Delay(PioWriteCost(words));
+  }
 
   // One DMA burst of `bytes` (either direction). Waits for the bus, then
   // holds it for dma_init + bytes/peak.

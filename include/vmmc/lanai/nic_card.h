@@ -31,11 +31,12 @@ class LanaiCpu {
 
   const LanaiParams& params() const { return params_; }
 
-  // Executes LCP work costing `t`.
-  sim::Process Exec(sim::Tick t) {
+  // Executes LCP work costing `t`: books the busy time and returns the
+  // awaiter that holds the caller for it (`co_await cpu.Exec(t)`).
+  sim::Simulator::DelayAwaiter Exec(sim::Tick t) {
     busy_ += t;
     if (exec_ns_m_ != nullptr) exec_ns_m_->Inc(static_cast<std::uint64_t>(t));
-    co_await sim_.Delay(t);
+    return sim_.Delay(t);
   }
 
   sim::Tick busy_time() const { return busy_; }

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -34,6 +33,7 @@
 #include "vmmc/sim/fault.h"
 #include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
+#include "vmmc/util/ring.h"
 #include "vmmc/util/status.h"
 
 namespace vmmc::myrinet {
@@ -170,10 +170,14 @@ class Switch : public Endpoint {
   }
 
  private:
+  struct Queued {
+    Packet packet;
+    sim::Tick enqueued_at;
+  };
   // One output port's buffered packets (wire-bytes bounded by
   // switch_port_queue_bytes) with their enqueue times.
   struct OutPort {
-    std::deque<std::pair<Packet, sim::Tick>> queue;
+    util::Ring<Queued> queue;
     std::size_t bytes = 0;
     bool draining = false;
   };
@@ -246,7 +250,8 @@ class Fabric {
   // output-port bytes consumed hop by hop. Deterministic: the installed
   // route oracle if a topology builder provided one (fat trees spread
   // traffic across spines this way), else BFS over the fabric graph with
-  // fixed tie-breaking. Fails if disconnected.
+  // fixed tie-breaking. Fails with kNotFound if disconnected, and with
+  // kOutOfRange if every path is longer than Route::kCapacity switches.
   Result<Route> ComputeRoute(int src_nic, int dst_nic) const;
 
   // A topology builder's closed-form routing function (src nic, dst nic)

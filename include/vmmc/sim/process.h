@@ -20,6 +20,8 @@
 #include <exception>
 #include <utility>
 
+#include "vmmc/util/pool.h"
+
 namespace vmmc::sim {
 
 class [[nodiscard]] Process {
@@ -33,6 +35,13 @@ class [[nodiscard]] Process {
     // coroutine whose first parameter converts to bool would start out
     // `started` and never run.
     promise_type() = default;
+
+    // Frames come from the shared size-class pool (util/pool.h): a warm
+    // simulation starts every coroutine without touching the heap.
+    static void* operator new(std::size_t n) { return util::Pool::Allocate(n); }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      util::Pool::Free(p, n);
+    }
 
     bool started = false;
     bool finished = false;

@@ -216,18 +216,21 @@ class Simulator {
     return true;
   }
 
-  // Awaitable: suspends the calling coroutine for `delay` ticks.
+  // Awaitable: suspends the calling coroutine for `delay` ticks, one
+  // kResume event and no coroutine frame. Leaf cost models (LanaiCpu::Exec,
+  // PciBus::PioWrite, HostCpu::Charge/Bcopy) book their cost and return
+  // one of these.
+  struct [[nodiscard]] DelayAwaiter {
+    Simulator& sim;
+    Tick delay;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { sim.Resume(h, delay); }
+    void await_resume() const noexcept {}
+  };
   // `co_await sim.Delay(0)` yields through the event queue (fair handoff).
-  auto Delay(Tick delay) {
-    struct Awaiter {
-      Simulator& sim;
-      Tick delay;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { sim.Resume(h, delay); }
-      void await_resume() const noexcept {}
-    };
+  DelayAwaiter Delay(Tick delay) {
     assert(delay >= 0);
-    return Awaiter{*this, delay};
+    return DelayAwaiter{*this, delay};
   }
 
  private:

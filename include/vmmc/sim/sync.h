@@ -6,12 +6,12 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "vmmc/sim/simulator.h"
+#include "vmmc/util/ring.h"
 
 namespace vmmc::sim {
 
@@ -105,7 +105,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  util::Ring<std::coroutine_handle<>> waiters_;
 };
 
 // RAII permit: `auto lock = co_await ScopedAcquire(sem);`
@@ -208,8 +208,8 @@ class Mailbox {
   };
 
   Simulator& sim_;
-  std::deque<T> items_;
-  std::deque<Waiter*> waiters_;
+  util::Ring<T> items_;
+  util::Ring<Waiter*> waiters_;
 };
 
 }  // namespace vmmc::sim

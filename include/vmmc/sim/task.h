@@ -10,6 +10,8 @@
 #include <optional>
 #include <utility>
 
+#include "vmmc/util/pool.h"
+
 namespace vmmc::sim {
 
 template <typename T>
@@ -21,6 +23,12 @@ class [[nodiscard]] Task {
   struct promise_type {
     // Not an aggregate, for the reason given in process.h.
     promise_type() = default;
+
+    // Pooled frames, as for sim::Process.
+    static void* operator new(std::size_t n) { return util::Pool::Allocate(n); }
+    static void operator delete(void* p, std::size_t n) noexcept {
+      util::Pool::Free(p, n);
+    }
 
     bool started = false;
     bool finished = false;

@@ -20,11 +20,10 @@
 //    myrinet::Packet's lazy CRC check relies on this: it trusts a payload
 //    still on the block it stamped to hold the stamped bytes.
 //  - Single-threaded, like the simulator that moves the bytes: the ref
-//    count is a plain integer and the recycling pool is one process-wide
-//    set of free lists.
+//    count is a plain integer and blocks recycle through util::Pool, the
+//    size-class free lists coroutine frames share.
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -33,15 +32,17 @@
 #include <span>
 #include <vector>
 
+#include "vmmc/util/pool.h"
+
 namespace vmmc::util {
 
 class Buffer {
  public:
   // Pool observability (see buffer_test.cpp and the allocation-count
-  // tests): cumulative counters since process start.
+  // tests): cumulative counters of Buffer blocks since process start.
   struct PoolStats {
     std::uint64_t allocs = 0;       // block requests (any source)
-    std::uint64_t pool_hits = 0;    // ... served from a free list
+    std::uint64_t pool_hits = 0;    // ... served from a util::Pool free list
     std::uint64_t heap_allocs = 0;  // ... served by operator new
     std::uint64_t unshares = 0;     // copy-on-write deep copies
     std::int64_t live_blocks = 0;   // blocks currently referenced
@@ -185,78 +186,41 @@ class Buffer {
     return b == a;
   }
 
-  static const PoolStats& pool_stats() { return pool_.stats; }
+  static const PoolStats& pool_stats() { return stats_; }
 
  private:
-  // Block header; payload bytes follow in the same allocation. `cls` is
-  // the size-class index, or kNoClass for exact-size blocks above the
-  // largest class (freed to the heap, not pooled).
+  // Block header; payload bytes follow in the same util::Pool block,
+  // whose size is sizeof(Block) + capacity.
   struct Block {
     std::uint32_t refs;
-    std::uint32_t cls;
     std::size_t capacity;
-    Block* next_free;
     std::uint8_t* bytes() { return reinterpret_cast<std::uint8_t*>(this + 1); }
   };
 
   static constexpr std::size_t kMinCapacity = 64;
-  static constexpr std::size_t kMaxPooled = 65536;
-  static constexpr std::uint32_t kNumClasses = 11;  // 64, 128, ..., 65536
-  static constexpr std::uint32_t kNoClass = ~0u;
 
-  struct Pool {
-    Block* free_lists[kNumClasses] = {};
-    PoolStats stats;
-  };
-  static Pool pool_;  // defined below the class
+  static PoolStats stats_;  // defined below the class
 
+  // A block holding at least max(n, 64) bytes; the capacity is whatever
+  // the pool class leaves after the header.
   static Block* Alloc(std::size_t n) {
-    Pool& p = pool_;
-    ++p.stats.allocs;
-    ++p.stats.live_blocks;
-    if (n <= kMaxPooled) {
-      // bit_ceil is only defined for representable results; guard it
-      // behind the size check so absurd n goes straight to the exact path.
-      const std::size_t capacity =
-          std::bit_ceil(n < kMinCapacity ? kMinCapacity : n);
-      const auto cls = static_cast<std::uint32_t>(
-          std::countr_zero(capacity) - std::countr_zero(kMinCapacity));
-      if (Block* b = p.free_lists[cls]; b != nullptr) {
-        p.free_lists[cls] = b->next_free;
-        ++p.stats.pool_hits;
-        b->refs = 1;
-        return b;
-      }
-      ++p.stats.heap_allocs;
-      auto* b = static_cast<Block*>(::operator new(sizeof(Block) + capacity));
-      b->refs = 1;
-      b->cls = cls;
-      b->capacity = capacity;
-      return b;
-    }
-    ++p.stats.heap_allocs;
-    auto* b = static_cast<Block*>(::operator new(sizeof(Block) + n));
+    PoolStats& s = stats_;
+    ++s.allocs;
+    ++s.live_blocks;
+    const std::size_t bytes =
+        Pool::ClassSize(sizeof(Block) + (n < kMinCapacity ? kMinCapacity : n));
+    bool recycled = false;
+    auto* b = static_cast<Block*>(Pool::Allocate(bytes, &recycled));
+    ++(recycled ? s.pool_hits : s.heap_allocs);
     b->refs = 1;
-    b->cls = kNoClass;
-    b->capacity = n;
+    b->capacity = bytes - sizeof(Block);
     return b;
   }
 
   static void Release(Block* b) {
-    Pool& p = pool_;
-    --p.stats.live_blocks;
-    if (b->cls != kNoClass) {
-      b->next_free = p.free_lists[b->cls];
-      p.free_lists[b->cls] = b;
-    } else {
-      FreeHeapBlock(b);
-    }
+    --stats_.live_blocks;
+    Pool::Free(b, sizeof(Block) + b->capacity);
   }
-
-  // Out of line (buffer.cpp) so the delete stays opaque to caller TUs:
-  // GCC's -Wuse-after-free cannot see that the ref count guarantees the
-  // deleting Unref is the last one, and would warn on every shared Buffer.
-  static void FreeHeapBlock(Block* b);
 
   void Unref() {
     if (block_ != nullptr && --block_->refs == 0) Release(block_);
@@ -266,7 +230,7 @@ class Buffer {
   // first size_ bytes of the current content.
   void Unshare(std::size_t n) {
     if (unique() && block_->capacity >= n) return;
-    ++pool_.stats.unshares;
+    ++stats_.unshares;
     Block* fresh = Alloc(n);
     std::memcpy(fresh->bytes(), block_->bytes(), size_);
     Unref();
@@ -285,10 +249,8 @@ class Buffer {
   std::size_t size_ = 0;
 };
 
-// One pool for the process. Constant-initialized and trivially
-// destructible: no guard on access, and no teardown-order hazard for a
-// Buffer destroyed after main() returns. Blocks still on the free lists
-// at exit stay reachable from here.
-inline constinit Buffer::Pool Buffer::pool_{};
+// Constant-initialized and trivially destructible, like util::Pool's
+// free lists: no guard on access, no teardown-order hazard.
+inline constinit Buffer::PoolStats Buffer::stats_{};
 
 }  // namespace vmmc::util

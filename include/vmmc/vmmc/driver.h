@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -58,7 +57,8 @@ class VmmcDriver {
   lanai::NicCard& nic_;
   VmmcLcp& lcp_;
 
-  std::unordered_map<int, std::deque<UserNotification>> pending_;
+  // Per pid, in delivery order; drained whole by DrainNotifications.
+  std::unordered_map<int, std::vector<UserNotification>> pending_;
   std::uint64_t tlb_fills_ = 0;
   std::uint64_t pages_pinned_ = 0;
   std::uint64_t notifications_delivered_ = 0;

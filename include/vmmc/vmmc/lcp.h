@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -35,6 +34,8 @@
 #include "vmmc/sim/sync.h"
 #include "vmmc/sim/task.h"
 #include "vmmc/util/buffer.h"
+#include "vmmc/util/pool.h"
+#include "vmmc/util/ring.h"
 #include "vmmc/vmmc/go_back_n.h"
 #include "vmmc/vmmc/page_tables.h"
 #include "vmmc/vmmc/sw_tlb.h"
@@ -57,9 +58,15 @@ enum class SendStatus : std::uint32_t {
 
 // One-sided RDMA-write addressing attached to a send request: the data
 // lands in an rtag-registered region on the destination instead of going
-// through the proxy/outgoing page table. Heap-allocated and null on the
-// ordinary two-sided path, which therefore stays allocation-free.
+// through the proxy/outgoing page table. Allocated per RDMA write from the
+// shared size-class pool (util/pool.h), and null on the ordinary two-sided
+// path, which keeps SendRequest small.
 struct DirectSend {
+  static void* operator new(std::size_t n) { return util::Pool::Allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    util::Pool::Free(p, n);
+  }
+
   std::uint32_t dst_node = 0;
   std::uint32_t rtag = 0;    // remote registered region
   std::uint64_t offset = 0;  // byte offset into that region
@@ -76,8 +83,13 @@ struct DirectSend {
 // (src_rtag, src_offset) into our local (dst_rtag, dst_offset) region,
 // then drop fin_value at (fin_rtag, fin_offset) here so we can spin on
 // it. On a remote protection violation the server sets bit 31 of
-// fin_value instead of sending data.
+// fin_value instead of sending data. Pooled like DirectSend.
 struct ReadRequest {
+  static void* operator new(std::size_t n) { return util::Pool::Allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    util::Pool::Free(p, n);
+  }
+
   std::uint32_t src_node = 0;
   std::uint32_t src_rtag = 0;
   std::uint64_t src_offset = 0;
@@ -115,7 +127,7 @@ class ProcState {
   // Send queue, bounded by send_queue_entries; the host acquires a slot
   // token before writing an entry.
   sim::Semaphore& queue_slots() { return queue_slots_; }
-  std::deque<SendRequest>& send_queue() { return send_queue_; }
+  util::Ring<SendRequest>& send_queue() { return send_queue_; }
 
   // Completion words live in pinned user memory at completion_base; the
   // events model the cache line the user spins on.
@@ -150,7 +162,7 @@ class ProcState {
   OutgoingPageTable outgoing_;
   SwTlb tlb_;
   sim::Semaphore queue_slots_;
-  std::deque<SendRequest> send_queue_;
+  util::Ring<SendRequest> send_queue_;
 };
 
 // A notification waiting for the driver to deliver (§2: invoke a user-level
@@ -332,7 +344,7 @@ class VmmcLcp : public lanai::Lcp {
   std::vector<std::unique_ptr<ProcState>> procs_;
   std::size_t rr_cursor_ = 0;  // round-robin over send queues
   std::unique_ptr<IncomingPageTable> incoming_;  // sized at Run (needs machine)
-  std::deque<PendingNotification> notifications_;
+  util::Ring<PendingNotification> notifications_;
   // Ordered by rtag: UnregisterProcess walks this map freeing SRAM
   // regions, and the free-list order must not depend on hash order
   // (vmmc-lint R2 / determinism contract).
@@ -354,7 +366,7 @@ class VmmcLcp : public lanai::Lcp {
     std::uint64_t fin_offset = 0;
     std::uint32_t fin_value = 0;
   };
-  std::deque<ReadServe> read_serves_;
+  util::Ring<ReadServe> read_serves_;
   Stats stats_;
 
   // Pipelining machinery.
@@ -375,7 +387,7 @@ class VmmcLcp : public lanai::Lcp {
   struct PeerTx {
     explicit PeerTx(std::uint32_t window) : gbn(window) {}
     GbnSender gbn;
-    std::deque<RetxSlot> unacked;
+    util::Ring<RetxSlot> unacked;
     sim::Tick cur_rto = 0;
     std::uint64_t timer_gen = 0;  // bumping it cancels the armed timer
     bool fast_retx_pending = false;  // coalesces bursts of drop notices

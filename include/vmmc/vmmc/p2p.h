@@ -60,8 +60,10 @@ class P2pChannel {
   // memory; returns its length. The rendezvous pull lands directly here.
   sim::Task<Result<std::uint32_t>> RecvInto(mem::VirtAddr dst,
                                             std::uint32_t cap);
-  // Convenience: receives via an internal bounce buffer into a vector.
-  sim::Task<Result<std::vector<std::uint8_t>>> Recv();
+  // Convenience: receives via an internal bounce buffer into `out`,
+  // resized to the message (its capacity is kept, so a caller that
+  // reuses one vector receives without allocating).
+  sim::Task<Status> Recv(std::vector<std::uint8_t>& out);
 
   // Waits until the peer consumed the last message and releases the
   // pending source registration (rendezvous zero-copy sends only).

@@ -7,8 +7,8 @@ namespace vmmc::coll {
 
 namespace {
 
-std::vector<std::uint8_t> Pack(std::span<const std::int64_t> v) {
-  std::vector<std::uint8_t> bytes(v.size() * 8);
+void Pack(std::span<const std::int64_t> v, std::vector<std::uint8_t>& bytes) {
+  bytes.resize(v.size() * 8);
   for (std::size_t i = 0; i < v.size(); ++i) {
     const auto x = static_cast<std::uint64_t>(v[i]);
     for (int b = 0; b < 8; ++b) {
@@ -16,7 +16,6 @@ std::vector<std::uint8_t> Pack(std::span<const std::int64_t> v) {
           static_cast<std::uint8_t>(x >> (8 * b));
     }
   }
-  return bytes;
 }
 
 void Unpack(std::span<const std::uint8_t> bytes, std::vector<std::int64_t>& v) {
@@ -108,11 +107,11 @@ sim::Task<Status> Communicator::SendTo(int peer, std::span<const std::uint8_t> d
   co_return co_await channels_.find(peer)->second->Send(data);
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> Communicator::RecvFrom(int peer) {
-  using Out = Result<std::vector<std::uint8_t>>;
+sim::Task<Status> Communicator::RecvFrom(int peer,
+                                         std::vector<std::uint8_t>& out) {
   Status ready = co_await EnsureLink(peer);
-  if (!ready.ok()) co_return Out(ready);
-  co_return co_await channels_.find(peer)->second->Recv();
+  if (!ready.ok()) co_return ready;
+  co_return co_await channels_.find(peer)->second->Recv(out);
 }
 
 vmmc_core::P2pChannel::Stats Communicator::p2p_stats() const {
@@ -141,8 +140,8 @@ sim::Task<Status> Communicator::Barrier() {
     if (!e.ok()) co_return e;
     Status s = co_await SendTo(to, {});
     if (!s.ok()) co_return s;
-    auto r = co_await RecvFrom(from);
-    if (!r.ok()) co_return r.status();
+    Status r = co_await RecvFrom(from, recv_bytes_);
+    if (!r.ok()) co_return r;
   }
   ++operations_;
   co_return OkStatus();
@@ -164,9 +163,8 @@ sim::Task<Status> Communicator::Broadcast(int root, std::vector<std::uint8_t>& d
       if (vrank & mask) {
         const int vsrc = vrank - mask;
         const int src = (vsrc + root) % size_;
-        auto r = co_await RecvFrom(src);
-        if (!r.ok()) co_return r.status();
-        payload = std::move(r).value();
+        Status r = co_await RecvFrom(src, payload);
+        if (!r.ok()) co_return r;
         break;
       }
       mask <<= 1;
@@ -185,28 +183,30 @@ sim::Task<Status> Communicator::Broadcast(int root, std::vector<std::uint8_t>& d
     co_return OkStatus();
   };
 
-  // Piece 0 carries the total length as a 4-byte prefix.
+  // Piece 0 carries the total length as a 4-byte prefix. Every piece
+  // travels through the recv_bytes_ scratch.
+  std::vector<std::uint8_t>& piece = recv_bytes_;
   std::uint64_t total = (rank_ == root) ? data.size() : 0;
-  std::vector<std::uint8_t> head;
+  piece.clear();
   if (rank_ == root) {
-    head.resize(4);
+    piece.resize(4);
     for (int i = 0; i < 4; ++i) {
-      head[static_cast<std::size_t>(i)] =
+      piece[static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(static_cast<std::uint32_t>(total) >> (8 * i));
     }
   }
-  Status s = co_await tree_exchange(head);
+  Status s = co_await tree_exchange(piece);
   if (!s.ok()) co_return s;
   if (rank_ != root) {
-    if (head.size() != 4) co_return InternalError("broadcast header lost");
-    total = std::uint32_t{head[0]} | (std::uint32_t{head[1]} << 8) |
-            (std::uint32_t{head[2]} << 16) | (std::uint32_t{head[3]} << 24);
+    if (piece.size() != 4) co_return InternalError("broadcast header lost");
+    total = std::uint32_t{piece[0]} | (std::uint32_t{piece[1]} << 8) |
+            (std::uint32_t{piece[2]} << 16) | (std::uint32_t{piece[3]} << 24);
     data.resize(total);
   }
 
   for (std::uint64_t off = 0; off < total; off += kMaxMessage) {
     const std::uint64_t n = std::min<std::uint64_t>(kMaxMessage, total - off);
-    std::vector<std::uint8_t> piece;
+    piece.clear();
     if (rank_ == root) {
       piece.assign(data.begin() + static_cast<std::ptrdiff_t>(off),
                    data.begin() + static_cast<std::ptrdiff_t>(off + n));
@@ -234,9 +234,9 @@ sim::Task<Status> Communicator::Gather(int root, std::span<const std::uint8_t> m
       if (r == rank_) {
         all->insert(all->end(), mine.begin(), mine.end());
       } else {
-        auto piece = co_await RecvFrom(r);
-        if (!piece.ok()) co_return piece.status();
-        all->insert(all->end(), piece.value().begin(), piece.value().end());
+        Status got = co_await RecvFrom(r, recv_bytes_);
+        if (!got.ok()) co_return got;
+        all->insert(all->end(), recv_bytes_.begin(), recv_bytes_.end());
       }
     }
   } else {
@@ -285,18 +285,18 @@ sim::Task<Status> Communicator::AllReduceRecursiveDoubling(
   // log2(N) rounds; in round r, partners rank^2^r exchange full vectors
   // and both add. Partners pair up (no cycle), so lazy channel setup is
   // safe without EnsureLinks.
-  std::vector<std::int64_t> incoming;
   for (int mask = 1; mask < size_; mask <<= 1) {
     const int partner = rank_ ^ mask;
-    Status s = co_await SendTo(partner, Pack(values));
+    Pack(values, send_bytes_);
+    Status s = co_await SendTo(partner, send_bytes_);
     if (!s.ok()) co_return s;
-    auto r = co_await RecvFrom(partner);
-    if (!r.ok()) co_return r.status();
-    Unpack(r.value(), incoming);
-    if (incoming.size() != values.size()) {
+    Status r = co_await RecvFrom(partner, recv_bytes_);
+    if (!r.ok()) co_return r;
+    Unpack(recv_bytes_, recv_values_);
+    if (recv_values_.size() != values.size()) {
       co_return InternalError("allreduce exchange size mismatch");
     }
-    for (std::size_t i = 0; i < values.size(); ++i) values[i] += incoming[i];
+    for (std::size_t i = 0; i < values.size(); ++i) values[i] += recv_values_[i];
   }
   ++operations_;
   co_return OkStatus();
@@ -306,28 +306,28 @@ sim::Task<Status> Communicator::AllReduceBinomial(
     std::vector<std::int64_t>& values) {
   // Binomial-tree reduction to rank 0 (works for any world size), then a
   // binomial broadcast of the result.
-  std::vector<std::int64_t> incoming;
   for (int mask = 1; mask < size_; mask <<= 1) {
     if (rank_ & mask) {
-      Status s = co_await SendTo(rank_ - mask, Pack(values));
+      Pack(values, send_bytes_);
+      Status s = co_await SendTo(rank_ - mask, send_bytes_);
       if (!s.ok()) co_return s;
       break;
     }
     if (rank_ + mask < size_) {
-      auto r = co_await RecvFrom(rank_ + mask);
-      if (!r.ok()) co_return r.status();
-      Unpack(r.value(), incoming);
-      if (incoming.size() != values.size()) {
+      Status r = co_await RecvFrom(rank_ + mask, recv_bytes_);
+      if (!r.ok()) co_return r;
+      Unpack(recv_bytes_, recv_values_);
+      if (recv_values_.size() != values.size()) {
         co_return InternalError("allreduce reduce size mismatch");
       }
-      for (std::size_t i = 0; i < values.size(); ++i) values[i] += incoming[i];
+      for (std::size_t i = 0; i < values.size(); ++i) values[i] += recv_values_[i];
     }
   }
-  std::vector<std::uint8_t> packed;
-  if (rank_ == 0) packed = Pack(values);
-  Status b = co_await Broadcast(0, packed);
+  send_bytes_.clear();
+  if (rank_ == 0) Pack(values, send_bytes_);
+  Status b = co_await Broadcast(0, send_bytes_);
   if (!b.ok()) co_return b;
-  Unpack(packed, values);
+  Unpack(send_bytes_, values);
   ++operations_;
   co_return OkStatus();
 }
@@ -342,33 +342,34 @@ sim::Task<Status> Communicator::AllReduceRing(std::vector<std::int64_t>& values)
   // The ring neighbours form a cycle across ranks; see EnsureLinks.
   Status e = co_await EnsureLinks(left, right);
   if (!e.ok()) co_return e;
-  std::vector<std::int64_t> incoming;
 
   for (int step = 0; step < size_ - 1; ++step) {
     const std::size_t send_idx =
         static_cast<std::size_t>((rank_ + step) % size_) * chunk;
     const std::size_t recv_idx =
         static_cast<std::size_t>((rank_ + step + 1) % size_) * chunk;
-    Status s = co_await SendTo(
-        left, Pack(std::span(values).subspan(send_idx, chunk)));
+    Pack(std::span(values).subspan(send_idx, chunk), send_bytes_);
+    Status s = co_await SendTo(left, send_bytes_);
     if (!s.ok()) co_return s;
-    auto r = co_await RecvFrom(right);
-    if (!r.ok()) co_return r.status();
-    Unpack(r.value(), incoming);
-    for (std::size_t i = 0; i < chunk; ++i) values[recv_idx + i] += incoming[i];
+    Status r = co_await RecvFrom(right, recv_bytes_);
+    if (!r.ok()) co_return r;
+    Unpack(recv_bytes_, recv_values_);
+    for (std::size_t i = 0; i < chunk; ++i) {
+      values[recv_idx + i] += recv_values_[i];
+    }
   }
   for (int step = 0; step < size_ - 1; ++step) {
     const std::size_t send_idx =
         static_cast<std::size_t>((rank_ + size_ - 1 + step) % size_) * chunk;
     const std::size_t recv_idx =
         static_cast<std::size_t>((rank_ + step) % size_) * chunk;
-    Status s = co_await SendTo(
-        left, Pack(std::span(values).subspan(send_idx, chunk)));
+    Pack(std::span(values).subspan(send_idx, chunk), send_bytes_);
+    Status s = co_await SendTo(left, send_bytes_);
     if (!s.ok()) co_return s;
-    auto r = co_await RecvFrom(right);
-    if (!r.ok()) co_return r.status();
-    Unpack(r.value(), incoming);
-    for (std::size_t i = 0; i < chunk; ++i) values[recv_idx + i] = incoming[i];
+    Status r = co_await RecvFrom(right, recv_bytes_);
+    if (!r.ok()) co_return r;
+    Unpack(recv_bytes_, recv_values_);
+    for (std::size_t i = 0; i < chunk; ++i) values[recv_idx + i] = recv_values_[i];
   }
   ++operations_;
   co_return OkStatus();
@@ -377,24 +378,26 @@ sim::Task<Status> Communicator::AllReduceRing(std::vector<std::int64_t>& values)
 sim::Task<Status> Communicator::AllReduceGatherBroadcast(
     std::vector<std::int64_t>& values) {
   const std::size_t n = values.size();
-  std::vector<std::uint8_t> mine = Pack(values);
-  if (mine.size() > kMaxMessage) co_return InvalidArgument("vector too large");
-  std::vector<std::uint8_t> all;
-  Status g = co_await Gather(0, mine, rank_ == 0 ? &all : nullptr);
-  if (!g.ok()) co_return g;
-  std::vector<std::uint8_t> reduced;
-  if (rank_ == 0) {
-    std::vector<std::int64_t> sum(n, 0), piece;
-    for (int r = 0; r < size_; ++r) {
-      Unpack(std::span(all).subspan(static_cast<std::size_t>(r) * n * 8, n * 8),
-             piece);
-      for (std::size_t i = 0; i < n; ++i) sum[i] += piece[i];
-    }
-    reduced = Pack(sum);
+  Pack(values, send_bytes_);
+  if (send_bytes_.size() > kMaxMessage) {
+    co_return InvalidArgument("vector too large");
   }
-  Status b = co_await Broadcast(0, reduced);
+  Status g = co_await Gather(0, send_bytes_, rank_ == 0 ? &gathered_ : nullptr);
+  if (!g.ok()) co_return g;
+  send_bytes_.clear();
+  if (rank_ == 0) {
+    // values already hold rank 0's own contribution: add the others'.
+    for (int r = 1; r < size_; ++r) {
+      Unpack(std::span(gathered_).subspan(static_cast<std::size_t>(r) * n * 8,
+                                          n * 8),
+             recv_values_);
+      for (std::size_t i = 0; i < n; ++i) values[i] += recv_values_[i];
+    }
+    Pack(values, send_bytes_);
+  }
+  Status b = co_await Broadcast(0, send_bytes_);
   if (!b.ok()) co_return b;
-  Unpack(reduced, values);
+  Unpack(send_bytes_, values);
   ++operations_;
   co_return OkStatus();
 }

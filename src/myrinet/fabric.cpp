@@ -86,8 +86,8 @@ void Switch::OnPacket(Packet packet, sim::Tick tail_time, Link* from) {
     if (drop_handler_) drop_handler_(std::move(packet));
     return;
   }
-  const int port = packet.route.front();
-  packet.route.erase(packet.route.begin());
+  const int port = packet.route[0];
+  packet.route.PopFront();
   if (port >= num_ports() || out_links_[static_cast<std::size_t>(port)] == nullptr) {
     ++dropped_;
     if (dropped_m_ != nullptr) dropped_m_->Inc();
@@ -131,7 +131,7 @@ void Switch::Enqueue(int port, Packet packet, Link* from) {
     });
     return;
   }
-  op.queue.emplace_back(std::move(packet), sim_.now());
+  op.queue.push_back(Queued{std::move(packet), sim_.now()});
   op.bytes += wire;
   if (!op.draining) {
     op.draining = true;
@@ -150,10 +150,10 @@ void Switch::DrainPort(int port) {
     sim_.At(out->busy_until(), [this, port] { DrainPort(port); });
     return;
   }
-  auto [pkt, enqueued_at] = std::move(op.queue.front());
+  Packet pkt = std::move(op.queue.front().packet);
+  const sim::Tick waited = sim_.now() - op.queue.front().enqueued_at;
   op.queue.pop_front();
   op.bytes -= pkt.wire_bytes();
-  const sim::Tick waited = sim_.now() - enqueued_at;
   queue_wait_ += waited;
   if (queue_wait_ns_m_ != nullptr) {
     queue_wait_ns_m_->Inc(static_cast<std::uint64_t>(waited));
@@ -329,47 +329,50 @@ Result<Route> Fabric::ComputeRoute(int src_nic, int dst_nic) const {
     if (r.ok()) return r;
   }
 
-  // BFS over switches from the source's switch to the destination's switch,
-  // recording (switch, entry route). The route is the port byte consumed at
-  // each traversed switch; the final byte exits to the destination NIC.
-  // Deterministic: switches and ports are explored in id order, so ties
-  // always resolve the same way.
-  struct State {
-    int switch_id;
-    Route route;
-  };
-  std::deque<State> frontier;
-  std::vector<bool> visited(static_cast<std::size_t>(num_switches()), false);
-  frontier.push_back({src.switch_id, {}});
-  visited[static_cast<std::size_t>(src.switch_id)] = true;
-
-  while (!frontier.empty()) {
-    State cur = std::move(frontier.front());
-    frontier.pop_front();
-    const Switch& sw = *switches_[static_cast<std::size_t>(cur.switch_id)];
-
-    if (cur.switch_id == dst.switch_id) {
-      Route full = cur.route;
-      full.push_back(static_cast<std::uint8_t>(dst.switch_port));
-      return full;
-    }
-
+  // BFS over switches from the source's switch to the destination's
+  // switch, recording each switch's parent and the parent's output port.
+  // The route is the port byte consumed at each traversed switch; the
+  // final byte exits to the destination NIC. Deterministic: switches and
+  // ports are explored in id order, so ties always resolve the same way.
+  const auto at = [](int id) { return static_cast<std::size_t>(id); };
+  std::vector<int> parent(at(num_switches()), -1);
+  std::vector<int> via_port(at(num_switches()), -1);
+  std::vector<int> order{src.switch_id};  // BFS queue; `next` is its head
+  parent[at(src.switch_id)] = src.switch_id;
+  for (std::size_t next = 0;
+       next < order.size() && parent[at(dst.switch_id)] < 0; ++next) {
+    const Switch& sw = *switches_[at(order[next])];
     for (int port = 0; port < sw.num_ports(); ++port) {
       const Link* out = sw.output(port);
       if (out == nullptr) continue;
       // Is the far end another switch?
       for (int s2 = 0; s2 < num_switches(); ++s2) {
-        if (out->destination() == switches_[static_cast<std::size_t>(s2)].get() &&
-            !visited[static_cast<std::size_t>(s2)]) {
-          visited[static_cast<std::size_t>(s2)] = true;
-          Route r = cur.route;
-          r.push_back(static_cast<std::uint8_t>(port));
-          frontier.push_back({s2, std::move(r)});
+        if (out->destination() == switches_[at(s2)].get() &&
+            parent[at(s2)] < 0) {
+          parent[at(s2)] = order[next];
+          via_port[at(s2)] = port;
+          order.push_back(s2);
         }
       }
     }
   }
-  return NotFound("no route between nics");
+  if (parent[at(dst.switch_id)] < 0) return NotFound("no route between nics");
+
+  std::size_t hops = 1;  // the exit port to the destination NIC
+  for (int s = dst.switch_id; s != src.switch_id; s = parent[at(s)]) ++hops;
+  if (hops > Route::kCapacity) {
+    return OutOfRange("the route from nic " + std::to_string(src_nic) +
+                      " to nic " + std::to_string(dst_nic) + " crosses " +
+                      std::to_string(hops) + " switches, over the " +
+                      std::to_string(Route::kCapacity) + "-hop limit");
+  }
+  std::uint8_t bytes[Route::kCapacity];
+  std::size_t i = hops;
+  bytes[--i] = static_cast<std::uint8_t>(dst.switch_port);
+  for (int s = dst.switch_id; s != src.switch_id; s = parent[at(s)]) {
+    bytes[--i] = static_cast<std::uint8_t>(via_port[at(s)]);
+  }
+  return Route::FromBytes({bytes, hops});
 }
 
 std::uint64_t Fabric::total_link_packets() const {

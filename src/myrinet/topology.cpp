@@ -48,8 +48,9 @@ Result<TopologyPlan> BuildFatTree(Fabric& fabric, const TopologyConfig& cfg) {
     const auto dst_port = static_cast<std::uint8_t>(dst % down);
     if (src_leaf == dst_leaf) return Route{dst_port};
     const int spine = (src + dst) % spines;
-    return Route{static_cast<std::uint8_t>(down + spine),
-                 static_cast<std::uint8_t>(dst_leaf), dst_port};
+    const std::uint8_t hops[] = {static_cast<std::uint8_t>(down + spine),
+                                 static_cast<std::uint8_t>(dst_leaf), dst_port};
+    return Route::FromBytes(hops);
   });
 
   TopologyPlan plan;

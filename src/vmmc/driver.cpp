@@ -1,6 +1,7 @@
 #include "vmmc/vmmc/driver.h"
 
 #include <string>
+#include <utility>
 
 namespace vmmc::vmmc_core {
 
@@ -66,9 +67,7 @@ sim::Process VmmcDriver::HandleInterrupt() {
 std::vector<UserNotification> VmmcDriver::DrainNotifications(int pid) {
   auto it = pending_.find(pid);
   if (it == pending_.end()) return {};
-  std::vector<UserNotification> out(it->second.begin(), it->second.end());
-  it->second.clear();
-  return out;
+  return std::exchange(it->second, {});
 }
 
 }  // namespace vmmc::vmmc_core

@@ -1213,10 +1213,12 @@ sim::Process VmmcLcp::RetransmitWindow(lanai::NicCard& nic,
                                       std::uint32_t dst_node) {
   PeerTx& tx = peer_tx_[dst_node];
   if (tx.unacked.empty()) co_return;
-  // Snapshot first: an ACK landing during the Exec below pops the deque.
+  // Snapshot first: an ACK landing during the Exec below pops the list.
   std::vector<myrinet::Packet> resend;
   resend.reserve(tx.unacked.size());
-  for (const RetxSlot& slot : tx.unacked) resend.push_back(slot.packet);
+  for (std::size_t i = 0; i < tx.unacked.size(); ++i) {
+    resend.push_back(tx.unacked[i].packet);
+  }
   co_await nic.cpu().Exec(params_.lanai.header_prep *
                           static_cast<sim::Tick>(resend.size()));
   for (myrinet::Packet& pkt : resend) {

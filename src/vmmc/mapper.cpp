@@ -15,14 +15,24 @@ sim::Process MappingLcp::Run(lanai::NicCard& nic) {
       if (!decoded.has_value()) continue;
       const ChunkHeader& h = decoded->header;
       if (h.type == PacketType::kMapProbe) {
-        // The probe's data is the return route; answer along it.
+        // The probe's data is the return route; answer along it. A route
+        // read off the wire can be longer than a Route holds (a prober
+        // rejects such routes before probing, so only a corrupt probe
+        // carries one): leave it unanswered.
+        auto back = myrinet::Route::FromBytes(decoded->data);
+        if (!back.ok()) {
+          VMMC_LOG(kWarn, "mapper") << "node " << nic.nic_id()
+                                    << ": probe not answered: "
+                                    << back.status().ToString();
+          continue;
+        }
         ++probes_answered_;
         ChunkHeader reply;
         reply.type = PacketType::kMapReply;
         reply.src_node = static_cast<std::uint16_t>(nic.nic_id());
         reply.tag = h.tag;
         myrinet::Packet pkt;
-        pkt.route.assign(decoded->data.begin(), decoded->data.end());
+        pkt.route = back.value();
         pkt.payload = EncodeChunk(reply, {});
         co_await nic.NetSend(std::move(pkt));
       } else if (h.type == PacketType::kMapReply) {

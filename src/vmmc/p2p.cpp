@@ -258,26 +258,21 @@ sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
   co_return len;
 }
 
-sim::Task<Result<std::vector<std::uint8_t>>> P2pChannel::Recv() {
-  using Out = Result<std::vector<std::uint8_t>>;
+sim::Task<Status> P2pChannel::Recv(std::vector<std::uint8_t>& out) {
   const mem::VirtAddr trailer = recv_slot + eager_cap();
   co_await recv_wait_.Until(
       [&] { return ReadWord(trailer + 8) == next_recv_seq; });
   const std::uint32_t len = ReadWord(trailer);
   auto scratch = co_await EnsureScratch(&recv_bounce_, &recv_bounce_cap_,
                                         std::max<std::uint32_t>(len, 1));
-  if (!scratch.ok()) co_return Out(scratch.status());
+  if (!scratch.ok()) co_return scratch.status();
   auto n = co_await RecvInto(recv_bounce_, recv_bounce_cap_);
-  if (!n.ok()) co_return Out(n.status());
-  // vmmc-lint: allow(raw-buffer): user-facing result — Recv()'s contract
-  // returns an owning std::vector, not a pooled view
-  std::vector<std::uint8_t> out(n.value());
+  if (!n.ok()) co_return n.status();
+  out.resize(n.value());
   if (!out.empty()) {
-    if (Status r = ep_.ReadBuffer(recv_bounce_, out); !r.ok()) {
-      co_return Out(r);
-    }
+    if (Status r = ep_.ReadBuffer(recv_bounce_, out); !r.ok()) co_return r;
   }
-  co_return std::move(out);
+  co_return OkStatus();
 }
 
 }  // namespace vmmc::vmmc_core

@@ -1,5 +1,6 @@
 // Tests for vmmc::util::Buffer: copy-on-write sharing, mutation paths,
-// size-class pooling and the pool statistics the perf-guard tests rely on.
+// size-class pooling and the pool statistics the perf-guard tests rely on;
+// plus the util::Pool size classes and the util::Ring FIFO under it all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,6 +8,8 @@
 #include <vector>
 
 #include "vmmc/util/buffer.h"
+#include "vmmc/util/pool.h"
+#include "vmmc/util/ring.h"
 
 namespace vmmc::util {
 namespace {
@@ -200,6 +203,92 @@ TEST(BufferTest, LiveBlocksTracksSharedOwnership) {
     EXPECT_EQ(Delta(before).live_blocks, 2u);
   }
   EXPECT_EQ(Delta(before).live_blocks, 0u);
+}
+
+// --- util::Pool: the size classes frames and Buffer blocks share ----------
+
+TEST(PoolTest, ClassesStepByHalfOctaves) {
+  EXPECT_EQ(Pool::ClassSize(1), 64u);
+  EXPECT_EQ(Pool::ClassSize(64), 64u);
+  EXPECT_EQ(Pool::ClassSize(65), 96u);
+  EXPECT_EQ(Pool::ClassSize(96), 96u);
+  EXPECT_EQ(Pool::ClassSize(97), 128u);
+  EXPECT_EQ(Pool::ClassSize(129), 192u);
+  EXPECT_EQ(Pool::ClassSize(4136), 6144u);
+  EXPECT_EQ(Pool::ClassSize(Pool::kMaxPooled), Pool::kMaxPooled);
+  EXPECT_EQ(Pool::ClassSize(Pool::kMaxPooled + 1), Pool::kMaxPooled + 1);
+  // No class wastes more than a third of its block.
+  for (std::size_t n = 65; n <= Pool::kMaxPooled; n += 37) {
+    EXPECT_GE(Pool::ClassSize(n), n);
+    EXPECT_LT(Pool::ClassSize(n), n + n / 2 + 1) << n;
+  }
+}
+
+TEST(PoolTest, FreedBlocksAreReusedLastInFirstOutPerClass) {
+  void* a = Pool::Allocate(100);
+  void* b = Pool::Allocate(120);  // same class (128)
+  EXPECT_NE(a, b);
+  Pool::Free(a, 100);
+  Pool::Free(b, 120);
+  const Pool::Stats before = Pool::stats();
+  bool recycled = false;
+  void* c = Pool::Allocate(128, &recycled);
+  EXPECT_TRUE(recycled);
+  EXPECT_EQ(c, b);
+  void* d = Pool::Allocate(97);
+  EXPECT_EQ(d, a);
+  EXPECT_EQ(Pool::stats().pool_hits - before.pool_hits, 2u);
+  EXPECT_EQ(Pool::stats().heap_allocs - before.heap_allocs, 0u);
+  // Oversized blocks bypass the free lists both ways.
+  void* big = Pool::Allocate(Pool::kMaxPooled + 8, &recycled);
+  EXPECT_FALSE(recycled);
+  Pool::Free(big, Pool::kMaxPooled + 8);
+  Pool::Free(c, 128);
+  Pool::Free(d, 97);
+}
+
+// --- util::Ring: FIFO order, wrap-around, growth, kept capacity ------------
+
+TEST(RingTest, KeepsFifoOrderAcrossWrapAndGrowth) {
+  Ring<Buffer> ring;  // a non-trivial element type: refcounted blocks
+  std::uint8_t next_in = 0;
+  std::uint8_t next_out = 0;
+  // Push 5, pop 3, repeatedly: the head wraps many times, and the ring
+  // grows while wrapped.
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 5; ++i) ring.push_back(Buffer{next_in++});
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(ring.front()[0], next_out++);
+      ring.pop_front();
+    }
+  }
+  EXPECT_EQ(ring.size(), 80u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i][0], static_cast<std::uint8_t>(next_out + i));
+  }
+  EXPECT_EQ(ring[ring.size() - 1][0], static_cast<std::uint8_t>(next_in - 1));
+  const std::size_t cap = ring.capacity();
+  EXPECT_GE(cap, 80u);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), cap) << "clear keeps the storage";
+}
+
+TEST(RingTest, WarmRingReleasesElementsAndNeverRegrows) {
+  const std::int64_t live = Buffer::pool_stats().live_blocks;
+  Ring<Buffer> ring;
+  for (int i = 0; i < 16; ++i) ring.push_back(Buffer(std::size_t{32}));
+  while (!ring.empty()) ring.pop_front();
+  EXPECT_EQ(Buffer::pool_stats().live_blocks, live) << "pop destroys";
+  const std::size_t cap = ring.capacity();
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 16; ++i) ring.emplace_back(std::size_t{32});
+    for (int i = 0; i < 16; ++i) ring.pop_front();
+  }
+  EXPECT_EQ(ring.capacity(), cap);
+  Ring<Buffer> moved = std::move(ring);
+  EXPECT_EQ(moved.capacity(), cap);
+  EXPECT_EQ(ring.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 }  // namespace

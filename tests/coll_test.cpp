@@ -53,15 +53,17 @@ TEST_F(CollTest, PointToPointRoundTrip) {
     std::vector<std::uint8_t> msg = {1, 2, 3};
     Status s = co_await comms_[0]->SendTo(1, msg);
     CO_ASSERT_TRUE(s.ok());
-    auto r = co_await comms_[0]->RecvFrom(1);
+    std::vector<std::uint8_t> got;
+    Status r = co_await comms_[0]->RecvFrom(1, got);
     CO_ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value(), (std::vector<std::uint8_t>{4, 5, 6, 7}));
+    EXPECT_EQ(got, (std::vector<std::uint8_t>{4, 5, 6, 7}));
     done = true;
   };
   auto rank1 = [&]() -> sim::Process {
-    auto r = co_await comms_[1]->RecvFrom(0);
+    std::vector<std::uint8_t> got;
+    Status r = co_await comms_[1]->RecvFrom(0, got);
     CO_ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.value(), (std::vector<std::uint8_t>{1, 2, 3}));
+    EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2, 3}));
     std::vector<std::uint8_t> reply = {4, 5, 6, 7};
     Status s = co_await comms_[1]->SendTo(0, reply);
     CO_ASSERT_TRUE(s.ok());
@@ -84,10 +86,11 @@ TEST_F(CollTest, BackToBackMessagesRespectCredits) {
     }
   };
   auto receiver = [&]() -> sim::Process {
+    std::vector<std::uint8_t> got;
     for (int i = 0; i < kMsgs; ++i) {
-      auto r = co_await comms_[1]->RecvFrom(0);
+      Status r = co_await comms_[1]->RecvFrom(0, got);
       CO_ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r.value()[0], static_cast<std::uint8_t>(i)) << "order violated";
+      EXPECT_EQ(got[0], static_cast<std::uint8_t>(i)) << "order violated";
     }
     done = true;
   };

@@ -18,7 +18,9 @@ class HostTest : public ::testing::Test {
   Machine machine_{sim_, params_, /*node_id=*/0};
 };
 
-sim::Process RunAndStamp(sim::Simulator& sim, sim::Process inner, Tick& done) {
+// `inner` is a sim::Process or a leaf cost awaiter (HostCpu::Charge).
+template <typename Awaitable>
+sim::Process RunAndStamp(sim::Simulator& sim, Awaitable inner, Tick& done) {
   co_await inner;
   done = sim.now();
 }

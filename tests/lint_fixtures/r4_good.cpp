@@ -33,3 +33,26 @@ void CopyOut(const util::Buffer& payload, std::vector<std::uint8_t>* result) {
   std::memcpy(out.data(), payload.data(), payload.size());
   *result = out;
 }
+
+// Aliases of non-byte vectors and inline byte arrays are fine, as is a
+// capacity-keeping ring for per-packet FIFOs.
+struct Route {
+  std::uint8_t hops[26];
+  std::uint8_t head, end;
+};
+using RouteTable = std::vector<Route>;
+using Hop = std::uint8_t;
+
+namespace util {
+template <typename T>
+class Ring {
+ public:
+  void push_back(T v);
+  void pop_front();
+};
+}  // namespace util
+
+struct PortQueue {
+  util::Ring<Route> queue;
+  RouteTable routes;
+};

@@ -40,6 +40,7 @@ CASES = {
     "r3_good.cpp": ("sim", "R3"),
     "r4_bad.cpp": ("hot", "R4"),
     "r4_good.cpp": ("hot", "R4"),
+    "r4_route_alias.cpp": ("hot", "R4"),
     "r5_bad.cpp": ("sim", "R5"),
     "r5_good.cpp": ("sim", "R5"),
 }

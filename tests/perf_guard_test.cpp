@@ -10,7 +10,10 @@
 //    produced at — with copy-on-write kicking in exactly once when a fault
 //    flips a bit,
 //  * the LCP steady-state send path serves every payload from the Buffer
-//    pool (no heap growth) and never deep-copies into the retx-pool.
+//    pool (no heap growth) and never deep-copies into the retx-pool,
+//  * a warm 16-node cluster running raw sends, RDMA writes and ring and
+//    recursive-doubling allreduces calls operator new less than once per
+//    hundred events, and takes every coroutine frame from the pool.
 //
 // It lives in its own test binary because the operator new override is
 // global to the process.
@@ -19,10 +22,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "co_test_util.h"
+#include "vmmc/coll/communicator.h"
 #include "vmmc/host/spin_wait.h"
 #include "vmmc/mem/physical_memory.h"
 #include "vmmc/myrinet/fabric.h"
@@ -31,6 +36,7 @@
 #include "vmmc/sim/process.h"
 #include "vmmc/sim/simulator.h"
 #include "vmmc/util/buffer.h"
+#include "vmmc/util/pool.h"
 #include "vmmc/vmmc/cluster.h"
 
 // --- Global allocation counter --------------------------------------------
@@ -363,6 +369,144 @@ TEST(PerfGuardTest, LcpSteadyStateServesPayloadsFromPool) {
   // ...and nothing deep-copies: hand-offs into the retx-pool and across
   // hops are ref bumps (no faults are configured, so no COW either).
   EXPECT_EQ(d.unshares, 0u) << "steady-state send path deep-copied a payload";
+}
+
+// --- Whole stack: a warm cluster allocates nothing per event ----------------
+
+// A 16-node fat tree runs, per round: raw SendMsgs (long and short) and an
+// RdmaWrite between nodes on different leaves, then one ring and one
+// recursive-doubling AllReduceSum on every rank. Coroutine frames, payload
+// blocks, packet routes, queues and collective scratch are all warm after
+// the first rounds, so a measured round may allocate only far less than
+// once per hundred events.
+struct WholeStack {
+  static constexpr int kRanks = 16;
+  static constexpr std::uint32_t kLen = 4096;
+  // Ring: 1024 int64 = 8 KB (bandwidth-bound, divisible by 16 ranks).
+  // Recursive doubling: 32 int64 = 256 B (one eager message).
+  static constexpr std::size_t kRingElems = 1024;
+  static constexpr std::size_t kRdElems = 32;
+
+  static vmmc_core::ClusterOptions FatTree() {
+    auto options = vmmc_core::ClusterOptions::FromSpec("fattree:16@8");
+    EXPECT_TRUE(options.ok());
+    return options.value();
+  }
+
+  sim::Simulator sim;
+  Params params;
+  vmmc_core::Cluster cluster{sim, params, FatTree()};
+  std::unique_ptr<vmmc_core::Endpoint> tx, rx;
+  std::vector<std::unique_ptr<coll::Communicator>> comms;
+  mem::VirtAddr src = 0;
+  vmmc_core::ProxyAddr proxy = 0;
+  std::uint32_t rtag = 0;
+
+  WholeStack() {
+    EXPECT_TRUE(cluster.Boot().ok());
+    auto a = cluster.OpenEndpoint(0, "raw-tx");
+    auto b = cluster.OpenEndpoint(15, "raw-rx");
+    EXPECT_TRUE(a.ok() && b.ok());
+    tx = std::move(a).value();
+    rx = std::move(b).value();
+    comms.resize(kRanks);
+    int ready = 0;
+    auto setup = [](WholeStack* self, int* ready_count) -> sim::Process {
+      auto buf = self->rx->AllocBuffer(64 * 1024);
+      CO_ASSERT_TRUE(buf.ok());
+      vmmc_core::ExportOptions opts;
+      opts.name = "whole";
+      auto id = co_await self->rx->ExportBuffer(buf.value(), 32 * 1024,
+                                                std::move(opts));
+      CO_ASSERT_TRUE(id.ok());
+      auto region = co_await self->rx->RegisterMemory(
+          buf.value() + 32 * 1024, 32 * 1024, vmmc_core::RegIntent::kRecv);
+      CO_ASSERT_TRUE(region.ok());
+      self->rtag = region.value().rtag;
+      vmmc_core::ImportOptions wait;
+      wait.wait = true;
+      auto imp = co_await self->tx->ImportBuffer(15, "whole", wait);
+      CO_ASSERT_TRUE(imp.ok());
+      self->proxy = imp.value().proxy_base;
+      auto s = self->tx->AllocBuffer(kLen);
+      CO_ASSERT_TRUE(s.ok());
+      self->src = s.value();
+      std::vector<std::uint8_t> fill(kLen, 0x3C);
+      CO_ASSERT_TRUE(self->tx->WriteBuffer(self->src, fill).ok());
+      ++*ready_count;
+    };
+    auto make_comm = [](WholeStack* self, int rank,
+                        int* ready_count) -> sim::Process {
+      coll::CommOptions copts;
+      copts.lazy_links = true;
+      auto c = co_await coll::Communicator::Create(self->cluster, rank,
+                                                   kRanks, "whole", copts);
+      CO_ASSERT_TRUE(c.ok());
+      self->comms[static_cast<std::size_t>(rank)] = std::move(c).value();
+      ++*ready_count;
+    };
+    sim.Spawn(setup(this, &ready));
+    for (int r = 0; r < kRanks; ++r) sim.Spawn(make_comm(this, r, &ready));
+    EXPECT_TRUE(sim.RunUntil([&] { return ready == kRanks + 1; }));
+  }
+
+  static sim::Process RawTraffic(WholeStack* self, int* done) {
+    Status s = co_await self->tx->SendMsg(self->src, self->proxy, kLen);
+    CO_ASSERT_TRUE(s.ok());
+    s = co_await self->tx->SendMsg(self->src, self->proxy + kLen, 64);
+    CO_ASSERT_TRUE(s.ok());
+    s = co_await self->tx->RdmaWrite(
+        self->src, vmmc_core::RemoteTarget{15, self->rtag, 0}, kLen);
+    CO_ASSERT_TRUE(s.ok());
+    ++*done;
+  }
+
+  static sim::Process Rank(WholeStack* self, int rank, int* done) {
+    coll::Communicator& c = *self->comms[static_cast<std::size_t>(rank)];
+    std::vector<std::int64_t> ring(kRingElems, rank + 1);
+    Status s = co_await c.AllReduceSum(ring);
+    CO_ASSERT_TRUE(s.ok());
+    CO_ASSERT_TRUE(ring[0] == kRanks * (kRanks + 1) / 2);
+    std::vector<std::int64_t> rd(kRdElems, rank);
+    s = co_await c.AllReduceSum(rd);
+    CO_ASSERT_TRUE(s.ok());
+    CO_ASSERT_TRUE(rd[0] == kRanks * (kRanks - 1) / 2);
+    ++*done;
+  }
+
+  void Round() {
+    int done = 0;
+    sim.Spawn(RawTraffic(this, &done));
+    for (int r = 0; r < kRanks; ++r) sim.Spawn(Rank(this, r, &done));
+    ASSERT_TRUE(sim.RunUntil([&] { return done == kRanks + 1; }));
+  }
+};
+
+TEST(PerfGuardTest, WarmClusterAllocatesUnderOnePerHundredEvents) {
+  WholeStack ws;
+  ASSERT_EQ(ws.comms.back()->SelectAllReduce(WholeStack::kRingElems),
+            coll::Communicator::AllReduceAlgo::kRing);
+  ASSERT_EQ(ws.comms.back()->SelectAllReduce(WholeStack::kRdElems),
+            coll::Communicator::AllReduceAlgo::kRecursiveDoubling);
+  // Warm-up: lazy channels, registration-cache entries, pool free lists
+  // and queue capacities all reach their steady state.
+  for (int i = 0; i < 3; ++i) ws.Round();
+
+  const std::uint64_t new_before = g_new_calls;
+  const std::uint64_t events_before = ws.sim.events_processed();
+  const util::Pool::Stats pool_before = util::Pool::stats();
+  for (int i = 0; i < 2; ++i) ws.Round();
+  const std::uint64_t news = g_new_calls - new_before;
+  const std::uint64_t events = ws.sim.events_processed() - events_before;
+  const util::Pool::Stats& pool = util::Pool::stats();
+
+  EXPECT_GT(events, 10'000u) << "sanity: the rounds did real work";
+  EXPECT_LT(news * 100, events)
+      << news << " operator new calls for " << events << " events";
+  // Every frame and payload block of the measured rounds came off a free
+  // list.
+  EXPECT_GT(pool.pool_hits - pool_before.pool_hits, events / 10);
+  EXPECT_EQ(pool.heap_allocs - pool_before.heap_allocs, 0u);
 }
 
 // --- Registration cache: warm hit/release path is allocation-free ----------

@@ -2,11 +2,15 @@
 // API surface.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "vmmc/sim/simulator.h"
+#include "vmmc/sim/sync.h"
 #include "vmmc/sim/task.h"
+#include "vmmc/util/pool.h"
 #include "vmmc/util/status.h"
 
 namespace vmmc::sim {
@@ -147,6 +151,67 @@ TEST(TaskTest, UnstartedTaskDestroysCleanly) {
     EXPECT_FALSE(t.finished());
   }  // never awaited: frame destroyed without running
   EXPECT_TRUE(sim.empty());
+}
+
+// --- Pooled frames ----------------------------------------------------------
+
+// A coroutine whose frame carries N bytes of live state across its
+// suspension: frames of different N land in different pool size classes.
+template <std::size_t N>
+Task<int> Held(Simulator& sim, Event& gate, int seed) {
+  std::array<std::uint8_t, N> state;
+  for (std::size_t i = 0; i < N; ++i) {
+    state[i] = static_cast<std::uint8_t>(seed + static_cast<int>(i));
+  }
+  co_await gate.Wait();
+  co_await sim.Delay(1);
+  int intact = 1;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (state[i] != static_cast<std::uint8_t>(seed + static_cast<int>(i))) {
+      intact = 0;
+    }
+  }
+  co_return intact;
+}
+
+template <std::size_t N>
+Process HoldAndCount(Simulator& sim, Event& gate, int seed, int& intact) {
+  intact += co_await Held<N>(sim, gate, seed);
+}
+
+// Parks `per_size` coroutines of each of four frame sizes on one gate,
+// then releases them; returns how many found their frame state intact.
+int RunWave(Simulator& sim, int per_size, int seed) {
+  Event gate(sim);
+  int intact = 0;
+  for (int i = 0; i < per_size; ++i) {
+    sim.Spawn(HoldAndCount<16>(sim, gate, seed + i, intact));
+    sim.Spawn(HoldAndCount<200>(sim, gate, seed + 2 * i, intact));
+    sim.Spawn(HoldAndCount<900>(sim, gate, seed + 3 * i, intact));
+    sim.Spawn(HoldAndCount<3000>(sim, gate, seed + 4 * i, intact));
+  }
+  sim.Run();  // every coroutine is now suspended on the gate
+  gate.Set();
+  sim.Run();
+  return intact;
+}
+
+TEST(TaskTest, FramesRecycleThroughThePoolAcrossSizeClasses) {
+  Simulator sim;
+  constexpr int kPerSize = 25;
+  // First wave: 200 frames (100 Process + 100 Task) alive at once, of
+  // several size classes; each frame's state must survive its suspension
+  // while the others are allocated around it.
+  ASSERT_EQ(RunWave(sim, kPerSize, 1), 4 * kPerSize);
+
+  // Second wave with the same peak: every frame comes off a free list, and
+  // recycled frames still keep their own state (no block handed out twice).
+  const util::Pool::Stats before = util::Pool::stats();
+  ASSERT_EQ(RunWave(sim, kPerSize, 7), 4 * kPerSize);
+  const util::Pool::Stats& after = util::Pool::stats();
+  EXPECT_EQ(after.heap_allocs - before.heap_allocs, 0u);
+  EXPECT_GE(after.pool_hits - before.pool_hits,
+            static_cast<std::uint64_t>(8 * kPerSize));
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 // congestion machinery the bounded switch output queues add to the
 // fabric: spec parsing, all-pairs delivery on every shape, fat-tree spine
 // diversity, route consume/strip over 1/2/3 hops (including truncated
-// routes), (switch, port)-addressed fault rules, emergent incast
-// congestion, and bitwise run-to-run determinism.
+// routes), the route-length bound, (switch, port)-addressed fault rules,
+// emergent incast congestion, and bitwise run-to-run determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "vmmc/myrinet/topology.h"
@@ -226,6 +227,65 @@ TEST(RouteStripTest, ConsumesOneByteAtEachSwitch) {
         << hops << "-hop route fully consumed";
     EXPECT_TRUE(got.back().CrcOk());
   }
+}
+
+// A chain of 1-node switches: node i sits on switch i, so the route from
+// node 0 to node n-1 crosses all n switches.
+TopologyConfig LongChain(int switches) {
+  TopologyConfig cfg;
+  cfg.kind = TopologyKind::kChain;
+  cfg.num_nodes = switches;
+  cfg.switch_ports = 3;
+  return cfg;
+}
+
+TEST(RouteCapacityTest, RouteOverTheBoundIsAnErrorNotAnAbort) {
+  constexpr int kMax = static_cast<int>(Route::kCapacity);
+  sim::Simulator sim;
+  Params params;
+  Fabric fabric(sim, params.net);
+  auto sinks = Stand(sim, fabric, LongChain(kMax + 2));
+
+  // kCapacity switches: the longest route that fits, and it delivers.
+  auto longest = fabric.ComputeRoute(0, kMax - 1);
+  ASSERT_TRUE(longest.ok()) << longest.status().ToString();
+  EXPECT_EQ(longest.value().size(), Route::kCapacity);
+  Packet p;
+  p.route = longest.value();
+  p.payload = {0x5A};
+  ASSERT_TRUE(fabric.Inject(0, std::move(p)).ok());
+  sim.Run();
+  ASSERT_EQ(sinks[kMax - 1]->packets.size(), 1u);
+  EXPECT_TRUE(sinks[kMax - 1]->packets.back().route.empty());
+
+  // One or two switches more: a typed error, both ways.
+  for (int dst : {kMax, kMax + 1}) {
+    auto over = fabric.ComputeRoute(0, dst);
+    ASSERT_FALSE(over.ok()) << "dst " << dst;
+    EXPECT_EQ(over.status().code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(fabric.ComputeRoute(dst, 0).status().code(),
+              ErrorCode::kOutOfRange);
+  }
+
+  // A route read from raw bytes (the mapper's probe reply) is checked too.
+  const std::vector<std::uint8_t> bytes(Route::kCapacity + 1, 0);
+  EXPECT_EQ(Route::FromBytes(bytes).status().code(), ErrorCode::kOutOfRange);
+  auto fits = Route::FromBytes(std::span(bytes).first(Route::kCapacity));
+  ASSERT_TRUE(fits.ok());
+  EXPECT_EQ(fits.value().size(), Route::kCapacity);
+}
+
+TEST(RouteCapacityTest, PacketStaysOneCacheLine) {
+  // Inline route, payload and CRC stamp: the event captures that carry a
+  // Packet across each hop fit InlineFn without a heap allocation.
+  EXPECT_EQ(sizeof(Packet), 64u);
+  Packet p;
+  p.route = {3, 1, 4};
+  p.route.PopFront();
+  EXPECT_EQ(p.route.size(), 2u);
+  EXPECT_EQ(p.route[0], 1);
+  EXPECT_EQ(p.route[1], 4);
+  EXPECT_EQ(p.wire_bytes(), 2u + 0u + 1u);
 }
 
 TEST(RouteStripTest, TruncatedRouteDropsWithNotice) {

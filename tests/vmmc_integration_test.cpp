@@ -64,6 +64,20 @@ TEST_F(VmmcTest, BootOnMultiSwitchTopology) {
   EXPECT_GE(cluster_->node(0).routes[5].size(), 2u);
 }
 
+TEST_F(VmmcTest, BootReportsARouteLongerThanTheRouteBound) {
+  // One node per switch on a chain one switch longer than a Route holds:
+  // the mapping phase cannot route node 0 <-> the last node, and Boot
+  // says so with a typed error instead of aborting.
+  ClusterOptions options;
+  options.num_nodes = static_cast<int>(myrinet::Route::kCapacity) + 1;
+  options.topology = Topology::kSwitchChain;
+  options.chain_switches = options.num_nodes;
+  cluster_ = std::make_unique<Cluster>(sim_, params_, options);
+  const Status booted = cluster_->Boot();
+  EXPECT_EQ(booted.code(), ErrorCode::kOutOfRange) << booted.ToString();
+  EXPECT_FALSE(cluster_->booted());
+}
+
 // --- export / import ---
 
 sim::Process ExportProgram(Endpoint& ep, std::uint32_t len, std::string name,

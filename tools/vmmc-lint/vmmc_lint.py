@@ -23,9 +23,11 @@ the determinism contract in DESIGN.md bans):
                             in sim code. All randomness must come from the
                             seeded sim::Rng; all time from Simulator::Now().
   R4  raw-buffer            Raw new[]/malloc or std::vector<byte> payload
-                            buffers in hot-path code that must use the pooled
-                            util::Buffer / EventNode tiers (the PR 4
-                            zero-alloc contract enforced by perf_guard_test).
+                            buffers (also through a using/typedef alias) and
+                            std::deque queues in hot-path code, which must
+                            use the pooled util::Buffer / EventNode tiers and
+                            util::Ring (the zero-alloc contract enforced by
+                            perf_guard_test).
   R5  ref-capture-coawait   Lambda capturing by reference whose body crosses a
                             co_await/co_yield suspension point. The frame
                             holds the reference; if the coroutine outlives the
@@ -363,6 +365,11 @@ def rule_r3(clean: str) -> list[tuple[int, str]]:
     return findings
 
 
+_BYTE_VECTOR = (r"std\s*::\s*vector\s*<\s*(?:std\s*::\s*)?"
+                r"(?:uint8_t|byte|unsigned\s+char)\s*>")
+_R4_BYTE_VECTOR_MSG = ("byte-vector buffer declared in the hot path; payload "
+                       "storage must be the pooled, copy-on-write util::Buffer"
+                       " (zero-copy contract)")
 _R4_PATTERNS = [
     (re.compile(r"\bnew\s+[A-Za-z_][\w:]*(?:\s*<[^;<>]*>)?\s*\["),
      "raw array new in the hot path; use the pooled util::Buffer / "
@@ -370,12 +377,20 @@ _R4_PATTERNS = [
     (re.compile(r"\b(?:malloc|calloc|realloc)\s*\("),
      "malloc-family allocation in the hot path; use the pooled util::Buffer"
      " / sim::EventNode tiers (PR 4 zero-alloc contract)"),
-    (re.compile(r"\bstd\s*::\s*vector\s*<\s*(?:std\s*::\s*)?"
-                r"(?:uint8_t|byte|unsigned\s+char)\s*>\s+[A-Za-z_]\w*"
-                r"\s*[;{=(]"),
-     "byte-vector buffer declared in the hot path; payload storage must be "
-     "the pooled, copy-on-write util::Buffer (PR 4 zero-copy contract)"),
+    (re.compile(r"\b" + _BYTE_VECTOR + r"\s+[A-Za-z_]\w*\s*[;{=(]"),
+     _R4_BYTE_VECTOR_MSG),
+    (re.compile(r"\bstd\s*::\s*deque\s*<"),
+     "std::deque in the hot path: it frees and reallocates chunks as the "
+     "queue slides along; use the capacity-keeping util::Ring"),
 ]
+# `using Bytes = std::vector<std::uint8_t>;` / `typedef std::vector<...>
+# Bytes;` — an alias hides the byte vector from the declaration pattern
+# above (myrinet::Route did, until it became an inline array). The typedef
+# form already matches that pattern; the using form is reported here.
+_R4_USING_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*" + _BYTE_VECTOR +
+                          r"\s*;")
+_R4_TYPEDEF_RE = re.compile(r"\btypedef\s+" + _BYTE_VECTOR +
+                            r"\s*([A-Za-z_]\w*)\s*;")
 
 
 def rule_r4(clean: str) -> list[tuple[int, str]]:
@@ -383,6 +398,19 @@ def rule_r4(clean: str) -> list[tuple[int, str]]:
     for pat, msg in _R4_PATTERNS:
         for m in pat.finditer(clean):
             findings.append((m.start(), msg))
+    # Byte-vector aliases: the alias itself, and every declaration through
+    # it in this file.
+    aliases = {m.group(1) for m in _R4_TYPEDEF_RE.finditer(clean)}
+    for m in _R4_USING_RE.finditer(clean):
+        aliases.add(m.group(1))
+        findings.append((m.start(), f"byte-vector alias '{m.group(1)}' in "
+                         "the hot path; " + _R4_BYTE_VECTOR_MSG))
+    for alias in sorted(aliases):
+        decl = re.compile(r"(?<![\w:.>])" + re.escape(alias) +
+                          r"\s+[A-Za-z_]\w*\s*[;{=(]")
+        for m in decl.finditer(clean):
+            findings.append((m.start(), f"'{alias}' is a byte vector: "
+                             + _R4_BYTE_VECTOR_MSG))
     return findings
 
 
