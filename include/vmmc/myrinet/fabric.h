@@ -16,7 +16,9 @@
 // buffers). A routed packet that finds its output wire busy waits in that
 // queue (counted as queue_wait); a packet that finds the queue *full*
 // cannot leave its inbound wire, so that upstream link stalls until the
-// output drains — head-of-line blocking. Incast and tree saturation
+// output drains — head-of-line blocking — and every later packet from
+// that wire waits behind it, whatever its output port, so packets that
+// share a wire never overtake each other. Incast and tree saturation
 // therefore emerge from the model instead of being scripted; see
 // DESIGN.md "Multi-switch fabrics".
 #pragma once
@@ -31,7 +33,6 @@
 #include "vmmc/obs/metrics.h"
 #include "vmmc/params.h"
 #include "vmmc/sim/fault.h"
-#include "vmmc/sim/rng.h"
 #include "vmmc/sim/simulator.h"
 #include "vmmc/util/ring.h"
 #include "vmmc/util/status.h"
@@ -47,7 +48,7 @@ class Endpoint {
  public:
   virtual ~Endpoint() = default;
   // Head arrival of one packet. `from` is the delivering link (so a switch
-  // can stall it for backpressure); nullptr when a test delivers directly.
+  // can hold the packet on it and stall it for backpressure).
   virtual void OnPacket(Packet packet, sim::Tick tail_time, Link* from) = 0;
 
   // Backward drop notification: the fabric tells the *source* NIC when a
@@ -61,7 +62,7 @@ class Endpoint {
 // heads after link_latency, preserves injection order.
 class Link {
  public:
-  Link(sim::Simulator& sim, const NetParams& params, sim::Rng& rng);
+  Link(sim::Simulator& sim, const NetParams& params);
 
   void set_destination(Endpoint* dst) { dst_ = dst; }
   Endpoint* destination() const { return dst_; }
@@ -74,8 +75,9 @@ class Link {
   int id() const { return site_.link_id; }
 
   // Injects `packet`; honours occupancy (back-to-back packets queue on the
-  // wire) and in-order delivery. May corrupt the payload per the injected
-  // error rate; the CRC then fails at the receiver, as on real hardware.
+  // wire) and in-order delivery. The simulator's FaultPlan may flip a bit
+  // (the CRC then fails at the receiver, as on real hardware), drop the
+  // packet or delay it.
   void Send(Packet packet);
 
   // First instant the wire is free again (ns, absolute sim time; <= now
@@ -88,6 +90,15 @@ class Link {
   void StallUntil(sim::Tick t) {
     if (t > busy_until_) busy_until_ = t;
   }
+
+  // Packets whose head reached the downstream switch but that wait on
+  // this wire for room in output `port`'s queue, oldest first. Nothing
+  // behind them on the wire may pass them (Switch::Enqueue).
+  struct Held {
+    int port;
+    Packet packet;
+  };
+  util::Ring<Held>& held() { return held_; }
 
   std::uint64_t packets_sent() const { return packets_; }
   std::uint64_t bytes_sent() const { return bytes_; }
@@ -106,7 +117,6 @@ class Link {
  private:
   sim::Simulator& sim_;
   const NetParams& params_;
-  sim::Rng& rng_;
   Endpoint* dst_ = nullptr;
   sim::LinkSite site_;
   sim::Tick busy_until_ = 0;
@@ -114,6 +124,7 @@ class Link {
   std::uint64_t bytes_ = 0;
   sim::Tick ser_ = 0;
   sim::Tick blocked_ = 0;
+  util::Ring<Held> held_;
   obs::Counter* packets_m_;
   obs::Counter* bytes_m_;
   obs::Counter* ser_ns_m_;
@@ -127,12 +138,9 @@ class Link {
 // queue; see the congestion model note at the top of this file.
 class Switch : public Endpoint {
  public:
-  Switch(sim::Simulator& sim, const NetParams& params, int id, int num_ports)
-      : sim_(sim),
-        params_(params),
-        id_(id),
-        out_links_(static_cast<std::size_t>(num_ports), nullptr),
-        ports_(static_cast<std::size_t>(num_ports)) {}
+  // Aborts if params.switch_port_queue_bytes is 0: the queues have no
+  // unbounded mode.
+  Switch(sim::Simulator& sim, const NetParams& params, int id, int num_ports);
 
   int id() const { return id_; }
   int num_ports() const { return static_cast<int>(out_links_.size()); }
@@ -181,10 +189,18 @@ class Switch : public Endpoint {
     std::size_t bytes = 0;
     bool draining = false;
   };
-
-  // Places a routed packet in `port`'s queue, or stalls `from` and retries
-  // when the queue cannot take it.
+  // Places a routed packet in `port`'s queue; holds it on `from` (behind
+  // any packet already held there) when it may not enter yet.
   void Enqueue(int port, Packet packet, Link* from);
+  bool Fits(int port, const Packet& packet) const;
+  void Place(int port, Packet packet);
+  // Counts a head-of-line stall of `from`'s front held packet and
+  // schedules the Release of `from` once `port`'s wire frees up. While
+  // `from` holds packets exactly one Release of it is scheduled.
+  void Stall(Link* from, int port);
+  // Moves `from`'s held packets into their queues, in order, until one
+  // does not fit.
+  void Release(Link* from);
   // Sends queued packets onto `port`'s wire as it frees up, in order.
   void DrainPort(int port);
 
@@ -210,9 +226,8 @@ class Switch : public Endpoint {
 // plus the topology graph the mapping phase explores.
 class Fabric {
  public:
-  Fabric(sim::Simulator& sim, const NetParams& params,
-         std::uint64_t error_seed = 0xFAB41Cull)
-      : sim_(sim), params_(params), rng_(error_seed) {}
+  Fabric(sim::Simulator& sim, const NetParams& params)
+      : sim_(sim), params_(params) {}
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -276,7 +291,6 @@ class Fabric {
  private:
   sim::Simulator& sim_;
   const NetParams& params_;
-  sim::Rng rng_;
 
   std::vector<std::unique_ptr<Switch>> switches_;
   struct NicAttachment {

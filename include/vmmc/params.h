@@ -74,7 +74,8 @@ struct HostParams {
 };
 
 // ---------------------------------------------------------------------------
-// Myrinet fabric (§3)
+// Myrinet fabric (§3). Link errors are not a parameter: sim::FaultPlan
+// (sim/fault.h) injects them.
 // ---------------------------------------------------------------------------
 struct NetParams {
   // "The network link can deliver 1.28 Gbits/sec bandwidth in each
@@ -91,17 +92,12 @@ struct NetParams {
   // Per-output-port buffering inside a switch, in bytes (the slack that
   // stands in for wormhole flit buffers; fitted — Myricom does not publish
   // it). A routed packet that does not fit waits on its inbound wire,
-  // stalling that upstream link until the output drains: head-of-line
-  // blocking and incast tree-saturation emerge from this bound. A port
-  // always accepts at least one packet regardless of size (guarantees
-  // progress), and 0 disables the bound entirely (infinite buffering, the
-  // pre-multi-switch behaviour).
+  // stalling that upstream link, and every packet behind it on that wire,
+  // until the output drains: head-of-line blocking and incast
+  // tree-saturation emerge from this bound. A port always accepts at least
+  // one packet regardless of size (guarantees progress). Must be > 0; the
+  // switch rejects 0.
   std::uint32_t switch_port_queue_bytes = 16 * 1024;
-
-  // Injected bit-error probability per packet (0 in normal operation;
-  // §4.2: error rate below 10^-15, errors are detected via CRC-8 but not
-  // recovered from).
-  double packet_error_rate = 0.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -172,15 +168,11 @@ struct LanaiParams {
 
 // ---------------------------------------------------------------------------
 // LCP reliability protocol (beyond the paper: §4.2 detects CRC errors but
-// never recovers; this go-back-N layer retransmits so every VMMC send
-// survives injected faults — see DESIGN.md "Fault model and retransmission").
+// never recovers; this go-back-N layer, always on, retransmits so every
+// VMMC send survives injected faults — see DESIGN.md "Fault model and
+// retransmission").
 // ---------------------------------------------------------------------------
 struct ReliabilityParams {
-  // Master switch. Off reproduces the paper exactly: corrupted or dropped
-  // chunks are counted and lost (kept for the abl_fault ablation and the
-  // §4.2-fidelity tests).
-  bool enabled = true;
-
   // Go-back-N window per destination node, bounded globally by the SRAM
   // retransmit pool below.
   std::uint32_t window = 16;
@@ -282,9 +274,6 @@ struct VmmcParams {
   // switches for the ablation benches.
   bool pipeline_dma = true;
   bool precompute_headers = true;
-
-  // Use the tight sending loop when traffic is one-way (§5.3).
-  bool tight_send_loop = true;
 
   // Go-back-N retransmission layer (beyond the paper).
   ReliabilityParams reliability;

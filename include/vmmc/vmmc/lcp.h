@@ -248,7 +248,7 @@ class VmmcLcp : public lanai::Lcp {
     std::uint64_t notifications_raised = 0;
     std::uint64_t tight_loop_chunks = 0;
     std::uint64_t main_loop_chunks = 0;
-    // Reliability layer (go-back-N; 0 when reliability.enabled is false).
+    // Reliability layer (go-back-N).
     std::uint64_t acks_sent = 0;
     std::uint64_t acks_received = 0;
     std::uint64_t retransmits = 0;          // data packets re-queued
@@ -316,14 +316,17 @@ class VmmcLcp : public lanai::Lcp {
   ProcState* NextProcWithWork();
 
   // --- reliability layer (go-back-N; see go_back_n.h and DESIGN.md) ---
-  bool reliable() const { return params_.vmmc.reliability.enabled; }
   // Window + SRAM retransmit-pool admission for one more packet to `dst`.
   bool WindowOpen(std::uint32_t dst_node) const;
-  // Assigns the next seq to `dst` (must match the seq already encoded in
-  // `packet`), stores the framed packet in the retransmit pool, and arms
-  // the RTO timer if this is the first unacked packet.
-  void RecordSentPacket(lanai::NicCard& nic, std::uint32_t dst_node,
-                        const myrinet::Packet& packet);
+  // The one framer of sequenced packets (kData and kRdmaRead): stamps `h`
+  // with this node, `dst_node` and the next go-back-N seq, encodes it into
+  // the ChunkHeader::kWireSize bytes of room at the front of `payload`
+  // (ChunkPayload, or a buffer the data was DMAed into behind that room),
+  // attaches the route, keeps the retransmit copy (arming the RTO timer
+  // if it is the first unacked packet) and counts the chunk. The caller
+  // hands the packet to the transmit engine; the window must be open.
+  myrinet::Packet FrameChunk(lanai::NicCard& nic, std::uint32_t dst_node,
+                             ChunkHeader h, util::Buffer payload);
   sim::Process HandleAck(lanai::NicCard& nic, lanai::ReceivedPacket rp);
   // Builds and queues a cumulative ACK toward `src_node`; resets the
   // delayed-ack state for that peer.
@@ -380,14 +383,10 @@ class VmmcLcp : public lanai::Lcp {
   // Per-peer go-back-N state, indexed by node id; sized at Run. The
   // retransmit buffer lives in a shared SRAM pool of retx_pool_entries
   // framed chunks (allocated at Run); retx_in_use_ tracks its occupancy.
-  struct RetxSlot {
-    myrinet::Packet packet;
-    std::uint32_t seq = 0;
-  };
   struct PeerTx {
     explicit PeerTx(std::uint32_t window) : gbn(window) {}
     GbnSender gbn;
-    util::Ring<RetxSlot> unacked;
+    util::Ring<myrinet::Packet> unacked;  // seqs [gbn.base(), gbn.next_seq())
     sim::Tick cur_rto = 0;
     std::uint64_t timer_gen = 0;  // bumping it cancels the armed timer
     bool fast_retx_pending = false;  // coalesces bursts of drop notices

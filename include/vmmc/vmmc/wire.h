@@ -35,11 +35,6 @@ struct ChunkHeader {
   std::uint8_t flags = 0;
   static constexpr std::uint8_t kFlagLastChunk = 0x01;
   static constexpr std::uint8_t kFlagNotify = 0x02;
-  // Set on chunks carried by the go-back-N layer: seq/dst_node are live
-  // and the receiver runs duplicate/ordering checks and sends ACKs. Off
-  // for mapping traffic and the compat layers, which keep their own
-  // delivery semantics over the same framing.
-  static constexpr std::uint8_t kFlagReliable = 0x04;
   // Receiver-side addressing (rkey model): dst_pa0 carries
   // (rtag << 32) | byte_offset instead of a physical address, and the
   // receiving LCP resolves it against its registered-region table. This
@@ -55,16 +50,16 @@ struct ChunkHeader {
   std::uint64_t dst_pa1 = 0;    // second scatter target (0: none)
   std::uint32_t tag = 0;        // sender-side bookkeeping (mapping: probe id)
 
-  // Reliability layer (kFlagReliable / kAck only). For data: the per-
-  // {src_node -> dst_node} go-back-N sequence number. For an ACK: the
-  // cumulative acknowledgment — the next sequence number the acking node
-  // (src_node) expects from dst_node.
+  // Go-back-N fields of the VMMC LCP (mapping traffic and the compat
+  // layers leave them 0). For kData/kRdmaRead: the per-{src_node ->
+  // dst_node} sequence number. For an ACK: the cumulative acknowledgment —
+  // the next sequence number the acking node (src_node) expects from
+  // dst_node.
   std::uint32_t seq = 0;
   std::uint16_t dst_node = 0;
 
   bool last_chunk() const { return flags & kFlagLastChunk; }
   bool notify() const { return flags & kFlagNotify; }
-  bool reliable() const { return flags & kFlagReliable; }
   bool rtag_addressed() const { return flags & kFlagRtag; }
 
   // Accessors for the kFlagRtag encoding of dst_pa0 (and, for kRdmaRead
@@ -93,6 +88,10 @@ struct ChunkHeader {
 // have room for it. Zero-copy senders encode straight into a payload
 // buffer whose data bytes were DMA'd in place (no intermediate vector).
 void EncodeHeaderInto(const ChunkHeader& header, std::uint8_t* dst);
+
+// A fresh payload of kWireSize bytes of header room followed by a copy of
+// `data`, for EncodeHeaderInto to complete.
+util::Buffer ChunkPayload(std::span<const std::uint8_t> data);
 
 // Serializes header + data into a packet payload (little endian).
 util::Buffer EncodeChunk(const ChunkHeader& header,

@@ -1,6 +1,8 @@
 #include "vmmc/myrinet/fabric.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "vmmc/util/log.h"
@@ -16,10 +18,9 @@ obs::Counter g_unbound_ser;
 obs::Counter g_unbound_blocked;
 }  // namespace
 
-Link::Link(sim::Simulator& sim, const NetParams& params, sim::Rng& rng)
+Link::Link(sim::Simulator& sim, const NetParams& params)
     : sim_(sim),
       params_(params),
-      rng_(rng),
       packets_m_(&g_unbound_packets),
       bytes_m_(&g_unbound_bytes),
       ser_ns_m_(&g_unbound_ser),
@@ -39,15 +40,6 @@ void Link::Send(Packet packet) {
   bytes_ += packet.wire_bytes();
   packets_m_->Inc();
   bytes_m_->Inc(packet.wire_bytes());
-
-  // Error injection: flip one payload byte; the receiver's CRC hardware
-  // detects it (the paper checks CRCs but never recovers, §4.2).
-  if (params_.packet_error_rate > 0.0 && !packet.payload.empty() &&
-      rng_.Bernoulli(params_.packet_error_rate)) {
-    const std::size_t i =
-        static_cast<std::size_t>(rng_.UniformU64(packet.payload.size()));
-    packet.payload.MutableData()[i] ^= 0x01u << rng_.UniformU64(8);
-  }
 
   // Planned fault injection (sim/fault.h): bit flips, wire drops and
   // delivery jitter, decided per packet from the injector's own seeded
@@ -76,6 +68,20 @@ void Link::Send(Packet packet) {
   sim_.At(head, [this, pkt = std::move(packet), tail]() mutable {
     dst_->OnPacket(std::move(pkt), tail, this);
   });
+}
+
+Switch::Switch(sim::Simulator& sim, const NetParams& params, int id,
+               int num_ports)
+    : sim_(sim),
+      params_(params),
+      id_(id),
+      out_links_(static_cast<std::size_t>(num_ports), nullptr),
+      ports_(static_cast<std::size_t>(num_ports)) {
+  if (params.switch_port_queue_bytes == 0) {
+    std::fprintf(stderr, "switch %d: switch_port_queue_bytes must be > 0\n",
+                 id);
+    std::abort();
+  }
 }
 
 void Switch::OnPacket(Packet packet, sim::Tick tail_time, Link* from) {
@@ -109,33 +115,61 @@ void Switch::OnPacket(Packet packet, sim::Tick tail_time, Link* from) {
 }
 
 void Switch::Enqueue(int port, Packet packet, Link* from) {
-  OutPort& op = ports_[static_cast<std::size_t>(port)];
-  Link* out = out_links_[static_cast<std::size_t>(port)];
-  const std::size_t cap = params_.switch_port_queue_bytes;
-  const std::size_t wire = packet.wire_bytes();
-  if (cap != 0 && !op.queue.empty() && op.bytes + wire > cap) {
-    // No buffer space: wormhole backpressure. The packet cannot leave its
-    // inbound wire, which stays occupied — stalling everything behind it
-    // (head-of-line blocking) — until the contended output frees up.
-    ++hol_stalls_;
-    if (hol_stalls_m_ != nullptr) hol_stalls_m_->Inc();
-    const sim::Tick retry = std::max(out->busy_until(), sim_.now() + 1);
-    const sim::Tick stalled = retry - sim_.now();
-    hol_stall_ += stalled;
-    if (hol_stall_ns_m_ != nullptr) {
-      hol_stall_ns_m_->Inc(static_cast<std::uint64_t>(stalled));
-    }
-    if (from != nullptr) from->StallUntil(retry);
-    sim_.At(retry, [this, port, pkt = std::move(packet), from]() mutable {
-      Enqueue(port, std::move(pkt), from);
-    });
+  // Wormhole: a packet behind a held one on the same wire cannot pass it,
+  // even toward a free output; it joins the held ones and waits for the
+  // Release already scheduled.
+  util::Ring<Link::Held>& held = from->held();
+  if (held.empty() && Fits(port, packet)) {
+    Place(port, std::move(packet));
     return;
   }
+  held.push_back(Link::Held{port, std::move(packet)});
+  if (held.size() == 1) Stall(from, port);
+}
+
+bool Switch::Fits(int port, const Packet& packet) const {
+  const OutPort& op = ports_[static_cast<std::size_t>(port)];
+  return op.queue.empty() ||
+         op.bytes + packet.wire_bytes() <= params_.switch_port_queue_bytes;
+}
+
+void Switch::Place(int port, Packet packet) {
+  OutPort& op = ports_[static_cast<std::size_t>(port)];
+  op.bytes += packet.wire_bytes();
   op.queue.push_back(Queued{std::move(packet), sim_.now()});
-  op.bytes += wire;
   if (!op.draining) {
     op.draining = true;
     DrainPort(port);
+  }
+}
+
+void Switch::Stall(Link* from, int port) {
+  // No buffer space: wormhole backpressure. The packet cannot leave its
+  // inbound wire, which stays occupied — stalling everything behind it
+  // (head-of-line blocking) — until the contended output frees up.
+  ++hol_stalls_;
+  if (hol_stalls_m_ != nullptr) hol_stalls_m_->Inc();
+  const Link* out = out_links_[static_cast<std::size_t>(port)];
+  const sim::Tick retry = std::max(out->busy_until(), sim_.now() + 1);
+  const sim::Tick stalled = retry - sim_.now();
+  hol_stall_ += stalled;
+  if (hol_stall_ns_m_ != nullptr) {
+    hol_stall_ns_m_->Inc(static_cast<std::uint64_t>(stalled));
+  }
+  from->StallUntil(retry);
+  sim_.At(retry, [this, from] { Release(from); });
+}
+
+void Switch::Release(Link* from) {
+  util::Ring<Link::Held>& held = from->held();
+  while (!held.empty()) {
+    if (!Fits(held.front().port, held.front().packet)) {
+      Stall(from, held.front().port);
+      return;
+    }
+    Link::Held h = std::move(held.front());
+    held.pop_front();
+    Place(h.port, std::move(h.packet));
   }
 }
 
@@ -178,7 +212,7 @@ void Fabric::NotifyDrop(Packet&& packet) {
 Link* Fabric::NewLink() {
   const std::string prefix =
       "fabric.link" + std::to_string(links_.size()) + ".";
-  links_.push_back(std::make_unique<Link>(sim_, params_, rng_));
+  links_.push_back(std::make_unique<Link>(sim_, params_));
   sim::LinkSite site;
   site.link_id = static_cast<int>(links_.size()) - 1;
   links_.back()->set_site(site);

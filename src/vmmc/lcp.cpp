@@ -312,15 +312,12 @@ sim::Process VmmcLcp::Run(lanai::NicCard& nic) {
     peer_tx_.emplace_back(rel.window);
     peer_rx_.emplace_back();
   }
-  if (rel.enabled) {
-    auto pool = nic.sram().Allocate(
-        "retx-pool",
-        rel.retx_pool_entries *
-            (static_cast<std::uint32_t>(ChunkHeader::kWireSize) +
-             params_.vmmc.chunk_bytes));
-    assert(pool.ok() && "SRAM too small for the retransmit pool");
-    (void)pool;
-  }
+  auto pool = nic.sram().Allocate(
+      "retx-pool", rel.retx_pool_entries *
+                       (static_cast<std::uint32_t>(ChunkHeader::kWireSize) +
+                        params_.vmmc.chunk_bytes));
+  assert(pool.ok() && "SRAM too small for the retransmit pool");
+  (void)pool;
 
   nic.simulator().Spawn(TxPump(nic));
   running_ = true;
@@ -344,7 +341,7 @@ sim::Process VmmcLcp::Run(lanai::NicCard& nic) {
       // request blocked on a closed window is not runnable; the ACK that
       // reopens it posts a work token like any other packet.
       if (!read_serves_.empty() &&
-          (!reliable() || WindowOpen(read_serves_.front().requester))) {
+          WindowOpen(read_serves_.front().requester)) {
         co_await ServeReadChunk(nic);
         continue;
       }
@@ -378,7 +375,7 @@ ProcState* VmmcLcp::NextProcWithWork() {
       // A send parked on a closed go-back-N window is not runnable until
       // an ACK reopens the window; the inner loop re-polls after every
       // received packet, so progress resumes as soon as the ACK lands.
-      if (reliable() && !WindowOpen(p.active->dst_node)) continue;
+      if (!WindowOpen(p.active->dst_node)) continue;
     } else if (p.send_queue().empty()) {
       continue;
     }
@@ -485,7 +482,7 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
       co_return;
     }
     ++stats_.rdma_read_requests;
-    if (!reliable() || WindowOpen(dst_node)) {
+    if (WindowOpen(dst_node)) {
       co_await SendReadRequest(nic, proc, req);
     } else {
       ++stats_.window_stalls;
@@ -528,7 +525,7 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
   }
 
   if (req.len <= params_.vmmc.short_send_max) {
-    if (!reliable() || WindowOpen(dst_node)) {
+    if (WindowOpen(dst_node)) {
       co_await HandleShortSend(nic, proc, req);
     } else {
       // Window to the destination is closed: park the short send as a
@@ -565,30 +562,17 @@ sim::Process VmmcLcp::HandleShortSend(lanai::NicCard& nic, ProcState& proc,
   h.type = PacketType::kData;
   h.flags = ChunkHeader::kFlagLastChunk |
             (req.notify ? ChunkHeader::kFlagNotify : 0);
-  h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.msg_len = req.len;
   h.chunk_len = req.len;
   h.dst_pa0 = target.value().first;
   h.dst_pa1 = target.value().second;
-  if (reliable()) {
-    h.flags |= ChunkHeader::kFlagReliable;
-    h.dst_node = static_cast<std::uint16_t>(dst_node);
-    h.seq = peer_tx_[dst_node].gbn.next_seq();
-  }
-
-  myrinet::Packet pkt;
-  pkt.route = routes_[dst_node];
-  pkt.payload = EncodeChunk(h, req.inline_data);
-  if (reliable()) RecordSentPacket(nic, dst_node, pkt);
 
   // Hand the packet to the transmit engine first; the completion word is
   // correct either way (the data already lives in SRAM, PIO-copied by the
   // host) and keeping it off the wire's critical path saves latency.
-  ++stats_.chunks_sent;
-  stats_.bytes_sent += req.len;
-  obs_.chunks_sent->Inc();
-  obs_.bytes_sent->Inc(req.len);
-  tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/false});
+  tx_box_->Put(
+      TxItem{FrameChunk(nic, dst_node, h, ChunkPayload(req.inline_data)),
+             /*release_staging=*/false});
   co_await nic.cpu().Exec(params_.lanai.completion_writeback);
   FinishRequest(proc, req.slot, SendStatus::kDone);
   co_return;
@@ -640,8 +624,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   // Tight sending loop vs main software state machine (§5.3): the tight
   // loop is used only while no incoming packets demand attention and this
   // is the only work source.
-  const bool tight = params_.vmmc.tight_send_loop && nic.rx_queue().empty() &&
-                     !nic.work_pending();
+  const bool tight = nic.rx_queue().empty() && !nic.work_pending();
   co_await nic.cpu().Exec(params_.lanai.chunk_overhead +
                           (tight ? 0 : params_.lanai.main_loop_extra));
   if (tight) {
@@ -681,7 +664,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
     pa1 = target.value().second;
   }
   as.dst_node = dst_node;
-  if (reliable() && !WindowOpen(dst_node)) {
+  if (!WindowOpen(dst_node)) {
     // A proxy region can span imports from different nodes, so a later
     // chunk may target a node whose window is closed even though the
     // scheduler admitted the send by its previous destination. Park; the
@@ -726,27 +709,11 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   h.flags = (last ? ChunkHeader::kFlagLastChunk : 0) |
             (req.notify ? ChunkHeader::kFlagNotify : 0) |
             (req.direct != nullptr ? ChunkHeader::kFlagRtag : 0);
-  h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.msg_len = req.len;
   h.chunk_len = chunk_len;
   h.dst_pa0 = pa0;
   h.dst_pa1 = pa1;
-  if (reliable()) {
-    h.flags |= ChunkHeader::kFlagReliable;
-    h.dst_node = static_cast<std::uint16_t>(dst_node);
-    h.seq = peer_tx_[dst_node].gbn.next_seq();
-  }
-
-  myrinet::Packet pkt;
-  pkt.route = routes_[dst_node];
-  EncodeHeaderInto(h, payload.MutableData());
-  pkt.payload = std::move(payload);
-  if (reliable()) RecordSentPacket(nic, dst_node, pkt);
-
-  ++stats_.chunks_sent;
-  stats_.bytes_sent += chunk_len;
-  obs_.chunks_sent->Inc();
-  obs_.bytes_sent->Inc(chunk_len);
+  myrinet::Packet pkt = FrameChunk(nic, dst_node, h, std::move(payload));
   if (params_.vmmc.pipeline_dma) {
     tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/true});
   } else {
@@ -780,29 +747,18 @@ sim::Process VmmcLcp::SendReadRequest(lanai::NicCard& nic, ProcState& proc,
   ChunkHeader h;
   h.type = PacketType::kRdmaRead;
   h.flags = ChunkHeader::kFlagRtag;
-  h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.msg_len = req.len;  // bytes to read
   h.chunk_len = 12;
   h.dst_pa0 = ChunkHeader::PackRtag(rr.dst_rtag, rr.dst_offset);
   h.dst_pa1 = ChunkHeader::PackRtag(rr.src_rtag, rr.src_offset);
-  if (reliable()) {
-    h.flags |= ChunkHeader::kFlagReliable;
-    h.dst_node = static_cast<std::uint16_t>(rr.src_node);
-    h.seq = peer_tx_[rr.src_node].gbn.next_seq();
-  }
   std::uint8_t fin[12];
   for (int i = 0; i < 4; ++i) {
     fin[i] = static_cast<std::uint8_t>(rr.fin_rtag >> (8 * i));
     fin[4 + i] = static_cast<std::uint8_t>(rr.fin_offset >> (8 * i));
     fin[8 + i] = static_cast<std::uint8_t>(rr.fin_value >> (8 * i));
   }
-  myrinet::Packet pkt;
-  pkt.route = routes_[rr.src_node];
-  pkt.payload = EncodeChunk(h, fin);
-  if (reliable()) RecordSentPacket(nic, rr.src_node, pkt);
-  ++stats_.chunks_sent;
-  obs_.chunks_sent->Inc();
-  tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/false});
+  tx_box_->Put(TxItem{FrameChunk(nic, rr.src_node, h, ChunkPayload(fin)),
+                      /*release_staging=*/false});
   // The request is on its way; the caller's completion word flips now and
   // the data's arrival is signalled by the fin word, not this slot.
   co_await nic.cpu().Exec(params_.lanai.completion_writeback);
@@ -818,29 +774,16 @@ sim::Process VmmcLcp::SendFinChunk(lanai::NicCard& nic, std::uint32_t dst_node,
   ChunkHeader h;
   h.type = PacketType::kData;
   h.flags = ChunkHeader::kFlagRtag | ChunkHeader::kFlagLastChunk;
-  h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.msg_len = 4;
   h.chunk_len = 4;
   h.dst_pa0 = ChunkHeader::PackRtag(rtag, offset);
-  if (reliable()) {
-    h.flags |= ChunkHeader::kFlagReliable;
-    h.dst_node = static_cast<std::uint16_t>(dst_node);
-    h.seq = peer_tx_[dst_node].gbn.next_seq();
-  }
   std::uint8_t bytes[4];
   for (int i = 0; i < 4; ++i) {
     bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
-  myrinet::Packet pkt;
-  pkt.route = routes_[dst_node];
-  pkt.payload = EncodeChunk(h, bytes);
-  if (reliable()) RecordSentPacket(nic, dst_node, pkt);
-  ++stats_.chunks_sent;
   ++stats_.rdma_fins_sent;
-  stats_.bytes_sent += 4;
-  obs_.chunks_sent->Inc();
-  obs_.bytes_sent->Inc(4);
-  tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/false});
+  tx_box_->Put(TxItem{FrameChunk(nic, dst_node, h, ChunkPayload(bytes)),
+                      /*release_staging=*/false});
 }
 
 void VmmcLcp::HandleReadRequest(const ChunkHeader& h,
@@ -925,25 +868,10 @@ sim::Process VmmcLcp::ServeReadChunk(lanai::NicCard& nic) {
   ChunkHeader h;
   h.type = PacketType::kData;
   h.flags = ChunkHeader::kFlagRtag | (last ? ChunkHeader::kFlagLastChunk : 0);
-  h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.msg_len = rs.len;
   h.chunk_len = chunk_len;
   h.dst_pa0 = ChunkHeader::PackRtag(rs.dst_rtag, rs.dst_offset + rs.offset);
-  if (reliable()) {
-    h.flags |= ChunkHeader::kFlagReliable;
-    h.dst_node = static_cast<std::uint16_t>(rs.requester);
-    h.seq = peer_tx_[rs.requester].gbn.next_seq();
-  }
-  myrinet::Packet pkt;
-  pkt.route = routes_[rs.requester];
-  EncodeHeaderInto(h, payload.MutableData());
-  pkt.payload = std::move(payload);
-  if (reliable()) RecordSentPacket(nic, rs.requester, pkt);
-
-  ++stats_.chunks_sent;
-  stats_.bytes_sent += chunk_len;
-  obs_.chunks_sent->Inc();
-  obs_.bytes_sent->Inc(chunk_len);
+  myrinet::Packet pkt = FrameChunk(nic, rs.requester, h, std::move(payload));
   if (params_.vmmc.pipeline_dma) {
     tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/true});
   } else {
@@ -990,7 +918,8 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
   co_await nic.cpu().Exec(params_.lanai.recv_process +
                           (mixed ? params_.lanai.main_loop_extra : 0));
   if (!rp.crc_ok) {
-    // Detected but not recovered (§4.2).
+    // Detected (§4.2) and dropped unacknowledged: the sender's RTO resends
+    // it with the rest of its go-back-N window.
     ++stats_.crc_drops;
     obs_.crc_drops->Inc();
     co_return;
@@ -1006,45 +935,43 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
     co_return;  // mapping traffic: not ours
   }
 
-  if (h.reliable()) {
-    // A misrouted or corrupted-header delivery: never apply, never ACK —
-    // acknowledging somebody else's sequence number would poison both
-    // go-back-N channels.
-    if (h.dst_node != static_cast<std::uint16_t>(nic.nic_id()) ||
-        h.src_node >= peer_rx_.size()) {
-      ++stats_.protection_violations;
-      obs_.protection_violations->Inc();
-      co_return;
-    }
-    PeerRx& rx = peer_rx_[h.src_node];
-    switch (rx.gbn.OnData(h.seq)) {
-      case GbnReceiver::Verdict::kAccept:
-        break;
-      case GbnReceiver::Verdict::kDuplicate:
-        // Already delivered; the ACK that should have advanced the sender
-        // was lost or is still in flight. Re-ACK immediately.
-        ++stats_.duplicate_chunks;
-        obs_.duplicate_chunks->Inc();
-        co_await SendAck(nic, h.src_node);
-        co_return;
-      case GbnReceiver::Verdict::kOutOfOrder:
-        // A gap upstream: discard and re-advertise what we still expect so
-        // the sender goes back without waiting out its RTO.
-        ++stats_.out_of_order_chunks;
-        obs_.out_of_order_chunks->Inc();
-        co_await SendAck(nic, h.src_node);
-        co_return;
-    }
-    // Accepted: the sequence number is consumed even if the protection
-    // checks below reject the chunk — retransmitting a chunk the importer
-    // has revoked would retry forever.
-    ++rx.unacked_data;
-    if (rx.unacked_data >= params_.vmmc.reliability.ack_every) {
+  // A misrouted or corrupted-header delivery: never apply, never ACK —
+  // acknowledging somebody else's sequence number would poison both
+  // go-back-N channels.
+  if (h.dst_node != static_cast<std::uint16_t>(nic.nic_id()) ||
+      h.src_node >= peer_rx_.size()) {
+    ++stats_.protection_violations;
+    obs_.protection_violations->Inc();
+    co_return;
+  }
+  PeerRx& rx = peer_rx_[h.src_node];
+  switch (rx.gbn.OnData(h.seq)) {
+    case GbnReceiver::Verdict::kAccept:
+      break;
+    case GbnReceiver::Verdict::kDuplicate:
+      // Already delivered; the ACK that should have advanced the sender
+      // was lost or is still in flight. Re-ACK immediately.
+      ++stats_.duplicate_chunks;
+      obs_.duplicate_chunks->Inc();
       co_await SendAck(nic, h.src_node);
-    } else if (rx.unacked_data == 1) {
-      ++rx.ack_gen;
-      nic.simulator().Spawn(DelayedAck(nic, h.src_node, rx.ack_gen));
-    }
+      co_return;
+    case GbnReceiver::Verdict::kOutOfOrder:
+      // A gap upstream: discard and re-advertise what we still expect so
+      // the sender goes back without waiting out its RTO.
+      ++stats_.out_of_order_chunks;
+      obs_.out_of_order_chunks->Inc();
+      co_await SendAck(nic, h.src_node);
+      co_return;
+  }
+  // Accepted: the sequence number is consumed even if the protection
+  // checks below reject the chunk — retransmitting a chunk the importer
+  // has revoked would retry forever.
+  ++rx.unacked_data;
+  if (rx.unacked_data >= params_.vmmc.reliability.ack_every) {
+    co_await SendAck(nic, h.src_node);
+  } else if (rx.unacked_data == 1) {
+    ++rx.ack_gen;
+    nic.simulator().Spawn(DelayedAck(nic, h.src_node, rx.ack_gen));
   }
 
   // One-sided read request: queue it for the serving loop (the GBN checks
@@ -1118,12 +1045,12 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
 // ---------------------------------------------------------------------------
 // Reliability layer: go-back-N over the lossy fabric (see DESIGN.md).
 //
-// Every reliable data packet carries a per-{src,dst} sequence number and a
-// copy lives in the SRAM retransmit pool until the destination's cumulative
-// ACK covers it. Loss is repaired three ways: the receiver re-ACKs on
-// duplicates and gaps, the fabric's drop notice triggers a fast window
-// resend, and a per-destination RTO timer (exponential backoff) catches
-// everything else, including lost ACKs.
+// Every data packet and read request carries a per-{src,dst} sequence
+// number, and FrameChunk keeps a copy in the SRAM retransmit pool until
+// the destination's cumulative ACK covers it. Loss is repaired three
+// ways: the receiver re-ACKs on duplicates and gaps, the fabric's drop
+// notice triggers a fast window resend, and a per-destination RTO timer
+// (exponential backoff) catches everything else, including lost ACKs.
 // ---------------------------------------------------------------------------
 
 bool VmmcLcp::WindowOpen(std::uint32_t dst_node) const {
@@ -1133,12 +1060,19 @@ bool VmmcLcp::WindowOpen(std::uint32_t dst_node) const {
          retx_in_use_ < params_.vmmc.reliability.retx_pool_entries;
 }
 
-void VmmcLcp::RecordSentPacket(lanai::NicCard& nic, std::uint32_t dst_node,
-                               const myrinet::Packet& packet) {
+myrinet::Packet VmmcLcp::FrameChunk(lanai::NicCard& nic,
+                                    std::uint32_t dst_node, ChunkHeader h,
+                                    util::Buffer payload) {
   PeerTx& tx = peer_tx_[dst_node];
   const bool first_unacked = !tx.gbn.has_unacked();
-  const std::uint32_t seq = tx.gbn.OnSend();
-  tx.unacked.push_back(RetxSlot{packet, seq});
+  h.src_node = static_cast<std::uint16_t>(nic.nic_id());
+  h.dst_node = static_cast<std::uint16_t>(dst_node);
+  h.seq = tx.gbn.OnSend();
+  EncodeHeaderInto(h, payload.MutableData());
+  myrinet::Packet pkt;
+  pkt.route = routes_[dst_node];
+  pkt.payload = std::move(payload);
+  tx.unacked.push_back(pkt);
   ++retx_in_use_;
   obs_.retx_in_use->Set(nic.simulator().now(),
                         static_cast<double>(retx_in_use_));
@@ -1146,6 +1080,14 @@ void VmmcLcp::RecordSentPacket(lanai::NicCard& nic, std::uint32_t dst_node,
     tx.cur_rto = params_.vmmc.reliability.rto;
     ArmRtoTimer(nic, dst_node);
   }
+  // A read request's payload is its fin triple, not data.
+  const std::uint32_t data_bytes =
+      h.type == PacketType::kData ? h.chunk_len : 0;
+  ++stats_.chunks_sent;
+  stats_.bytes_sent += data_bytes;
+  obs_.chunks_sent->Inc();
+  obs_.bytes_sent->Inc(data_bytes);
+  return pkt;
 }
 
 sim::Process VmmcLcp::HandleAck(lanai::NicCard& nic, lanai::ReceivedPacket rp) {
@@ -1188,7 +1130,6 @@ sim::Process VmmcLcp::SendAck(lanai::NicCard& nic, std::uint32_t src_node) {
   co_await nic.cpu().Exec(params_.vmmc.reliability.ack_send);
   ChunkHeader h;
   h.type = PacketType::kAck;
-  h.flags = ChunkHeader::kFlagReliable;
   h.src_node = static_cast<std::uint16_t>(nic.nic_id());
   h.dst_node = static_cast<std::uint16_t>(src_node);
   h.seq = rx.gbn.CumAck();
@@ -1217,7 +1158,7 @@ sim::Process VmmcLcp::RetransmitWindow(lanai::NicCard& nic,
   std::vector<myrinet::Packet> resend;
   resend.reserve(tx.unacked.size());
   for (std::size_t i = 0; i < tx.unacked.size(); ++i) {
-    resend.push_back(tx.unacked[i].packet);
+    resend.push_back(tx.unacked[i]);
   }
   co_await nic.cpu().Exec(params_.lanai.header_prep *
                           static_cast<sim::Tick>(resend.size()));
@@ -1262,15 +1203,12 @@ void VmmcLcp::ArmRtoTimer(lanai::NicCard& nic, std::uint32_t dst_node) {
 void VmmcLcp::OnDropNotice(const myrinet::Packet& packet) {
   ++stats_.drop_notices;
   obs_.drop_notices->Inc();
-  if (!running_ || !reliable() || nic_ == nullptr) return;
+  if (!running_) return;
   auto decoded = DecodeChunk(packet.payload);
   if (!decoded.has_value()) return;
   const ChunkHeader& h = decoded->header;
   // Dropped ACKs are left to the receiver's re-ACK-on-duplicate path.
-  if ((h.type != PacketType::kData && h.type != PacketType::kRdmaRead) ||
-      !h.reliable()) {
-    return;
-  }
+  if (h.type != PacketType::kData && h.type != PacketType::kRdmaRead) return;
   if (h.src_node != static_cast<std::uint16_t>(nic_->nic_id())) return;
   const std::uint32_t dst = h.dst_node;
   if (dst >= peer_tx_.size()) return;

@@ -47,14 +47,19 @@ void EncodeHeaderInto(const ChunkHeader& header, std::uint8_t* dst) {
   dst[39] = 0;
 }
 
+util::Buffer ChunkPayload(std::span<const std::uint8_t> data) {
+  auto out = util::Buffer::Uninitialized(ChunkHeader::kWireSize + data.size());
+  if (!data.empty()) {
+    std::memcpy(out.MutableData() + ChunkHeader::kWireSize, data.data(),
+                data.size());
+  }
+  return out;
+}
+
 util::Buffer EncodeChunk(const ChunkHeader& header,
                          std::span<const std::uint8_t> data) {
-  auto out = util::Buffer::Uninitialized(ChunkHeader::kWireSize + data.size());
-  std::uint8_t* p = out.MutableData();
-  EncodeHeaderInto(header, p);
-  if (!data.empty()) {
-    std::memcpy(p + ChunkHeader::kWireSize, data.data(), data.size());
-  }
+  util::Buffer out = ChunkPayload(data);
+  EncodeHeaderInto(header, out.MutableData());
   return out;
 }
 

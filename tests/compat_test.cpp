@@ -257,7 +257,9 @@ TEST_F(PmTest, MessageDeliveredThroughWindow) {
 }
 
 TEST_F(PmTest, AckNackRecoversFromCorruptedUnits) {
-  params_.net.packet_error_rate = 0.05;  // both data and control packets
+  sim::LinkFaultRule rule;
+  rule.bitflip_rate = 0.05;  // both data and control packets
+  sim_.faults().Configure(sim::FaultPlan::AllLinks(rule, /*seed=*/5));
   Testbed testbed(sim_, params_, 2);
   PmEndpoint a(testbed, 0), b(testbed, 1);
   auto data = Pattern(200000, 11);
@@ -312,7 +314,9 @@ TEST_F(MapiTest, ChannelsDemultiplexAndChecksum) {
 }
 
 TEST_F(MapiTest, NoReliability_CorruptedMessagesSilentlyLost) {
-  params_.net.packet_error_rate = 1.0;
+  sim::LinkFaultRule rule;
+  rule.bitflip_rate = 1.0;
+  sim_.faults().Configure(sim::FaultPlan::AllLinks(rule, /*seed=*/5));
   Testbed testbed(sim_, params_, 2);
   MapiEndpoint a(testbed, 0), b(testbed, 1);
   bool done = false;

@@ -2,9 +2,10 @@
 // fault injection (sim/fault.h) across {bit-flip, drop, delay, DMA-stall}
 // × {low, high} rates × seeds, asserting that every VMMC send is delivered
 // exactly once, intact and in order, with no deadlock — for raw sends,
-// vRPC round trips, and a collective. Also pins down run-to-run
-// determinism (same seed + plan ⇒ identical metrics and trace) and the
-// fabric drop-notice path (misroutes reach the LCP retransmit logic).
+// one-sided RDMA writes and reads, vRPC round trips, and a collective.
+// Also pins down run-to-run determinism (same seed + plan ⇒ identical
+// metrics and trace) and the fabric drop-notice path (misroutes reach the
+// LCP retransmit logic).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -350,6 +351,106 @@ INSTANTIATE_TEST_SUITE_P(
                       FaultCase{FaultKind::kDrop, true, 3},
                       FaultCase{FaultKind::kDelay, true, 3},
                       FaultCase{FaultKind::kDmaStall, true, 3}),
+    [](const ::testing::TestParamInfo<FaultCase>& param_info) {
+      return param_info.param.Name();
+    });
+
+// ---------------------------------------------------------------------------
+// One-sided RDMA under faults: a write's fin chunk and a read's request,
+// data and fin chunks are go-back-N packets like any other.
+// ---------------------------------------------------------------------------
+
+class FaultRdmaTest : public ::testing::TestWithParam<FaultCase> {};
+
+TEST_P(FaultRdmaTest, WriteWithFinAndReadBackUnderFaults) {
+  const FaultCase& fc = GetParam();
+  sim::Simulator sim;
+  Params params;
+  ClusterOptions options;
+  options.num_nodes = 2;
+  Cluster cluster(sim, params, options);
+  ASSERT_TRUE(cluster.Boot().ok());
+  sim.faults().Configure(fc.Plan());
+  auto a = cluster.OpenEndpoint(0, "a");
+  auto b = cluster.OpenEndpoint(1, "b");
+  ASSERT_TRUE(a.ok() && b.ok());
+  Endpoint& ea = *a.value();
+  Endpoint& eb = *b.value();
+
+  // Every transfer lands 50 bytes before a page boundary: on node 1 for
+  // the write, on node 0 for the read back.
+  const std::vector<std::uint32_t> kLens = {100, 4096, 20'000};
+  const std::uint64_t kOffset = mem::kPageSize - 50;
+  const std::uint32_t kRegion = 6 * static_cast<std::uint32_t>(mem::kPageSize);
+  bool done = false;
+  auto prog = [&]() -> sim::Process {
+    auto src = ea.AllocBuffer(kRegion);
+    auto back = ea.AllocBuffer(kRegion);
+    auto dst = eb.AllocBuffer(kRegion);
+    auto fin = eb.AllocBuffer(static_cast<std::uint32_t>(mem::kPageSize));
+    CO_ASSERT_TRUE(src.ok() && back.ok() && dst.ok() && fin.ok());
+    auto back_reg = co_await ea.RegisterMemory(back.value(), kRegion,
+                                               RegIntent::kRecv);
+    auto dst_reg = co_await eb.RegisterMemory(dst.value(), kRegion,
+                                              RegIntent::kRecv);
+    auto fin_reg = co_await eb.RegisterMemory(fin.value(), mem::kPageSize,
+                                              RegIntent::kRecv);
+    CO_ASSERT_TRUE(back_reg.ok() && dst_reg.ok() && fin_reg.ok());
+    for (std::size_t i = 0; i < kLens.size(); ++i) {
+      const std::uint32_t len = kLens[i];
+      auto payload = MakePayload(200 + i, len);
+      CO_ASSERT_TRUE(ea.WriteBuffer(src.value(), payload).ok());
+      RdmaOptions opts;
+      opts.fin_rtag = fin_reg.value().rtag;
+      opts.fin_offset = 4 * i;
+      opts.fin_value = 0xF1A0 + static_cast<std::uint32_t>(i);
+      Status w = co_await ea.RdmaWrite(
+          src.value(), RemoteTarget{1, dst_reg.value().rtag, kOffset}, len,
+          opts);
+      CO_ASSERT_TRUE(w.ok());
+      // The fin is sequenced after the data: once it lands, so has the
+      // whole payload.
+      for (;;) {
+        auto word = eb.memory().ReadU32(fin.value() + opts.fin_offset);
+        CO_ASSERT_TRUE(word.ok());
+        if (word.value() != 0) {
+          EXPECT_EQ(word.value(), opts.fin_value)
+              << fc.Name() << " len " << len;
+          break;
+        }
+        co_await sim.Delay(1'000);
+      }
+      std::vector<std::uint8_t> got(len);
+      CO_ASSERT_TRUE(eb.ReadBuffer(dst.value() + kOffset, got).ok());
+      EXPECT_EQ(got, payload) << fc.Name() << " write of " << len;
+
+      Status r = co_await ea.RdmaRead(
+          RemoteTarget{1, dst_reg.value().rtag, kOffset}, len,
+          back_reg.value(), kOffset);
+      CO_ASSERT_TRUE(r.ok());
+      CO_ASSERT_TRUE(ea.ReadBuffer(back.value() + kOffset, got).ok());
+      EXPECT_EQ(got, payload) << fc.Name() << " read of " << len;
+    }
+    done = true;
+  };
+  sim.Spawn(prog());
+  // Bounded in simulated time: a lost fin or read chunk fails here
+  // instead of spinning forever.
+  const Tick deadline = sim.now() + sim::Seconds(1);
+  sim.RunUntil([&] { return done || sim.now() >= deadline; });
+  ASSERT_TRUE(done) << fc.Name() << " did not finish by the deadline";
+  EXPECT_GT(cluster.node(0).lcp->stats().retransmits +
+                cluster.node(1).lcp->stats().retransmits,
+            0u)
+      << fc.Name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, FaultRdmaTest,
+    ::testing::Values(FaultCase{FaultKind::kBitFlip, true, 11},
+                      FaultCase{FaultKind::kBitFlip, true, 22},
+                      FaultCase{FaultKind::kDrop, true, 11},
+                      FaultCase{FaultKind::kDrop, true, 22}),
     [](const ::testing::TestParamInfo<FaultCase>& param_info) {
       return param_info.param.Name();
     });

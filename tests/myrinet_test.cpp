@@ -355,9 +355,10 @@ TEST_F(FabricTest, InvalidRouteDropsAtSwitch) {
 }
 
 TEST_F(FabricTest, ErrorInjectionCorruptsCrcButDelivers) {
-  Params params;
-  params.net.packet_error_rate = 1.0;  // every packet corrupted
-  Fabric fabric(sim_, params.net);
+  sim::LinkFaultRule rule;
+  rule.bitflip_rate = 1.0;  // every packet corrupted on every link
+  sim_.faults().Configure(sim::FaultPlan::AllLinks(rule, /*seed=*/5));
+  Fabric fabric(sim_, params_.net);
   TopologyPlan plan = BuildSingleSwitch(fabric);
   Sink a(sim_), b(sim_);
   int na = fabric.AddNic(&a);
@@ -376,8 +377,9 @@ TEST_F(FabricTest, ErrorInjectionCorruptsCrcButDelivers) {
 
 // Checks every delivered packet's CrcOk() against the eager verdict on the
 // bytes its source injected. Packets between one pair of NICs share a
-// path, so with unbounded switch queues (no HOL retries) they arrive in
-// injection order.
+// path, and a switch never lets a packet overtake an earlier one from the
+// same wire, so they arrive in injection order even when full output
+// queues hold packets back.
 class OracleSink : public Endpoint {
  public:
   void OnPacket(Packet packet, Tick, Link*) override {
@@ -398,9 +400,7 @@ class OracleSink : public Endpoint {
 };
 
 TEST_F(FabricTest, LazyCrcMatchesEagerOracleAcrossFaultyHops) {
-  NetParams net = params_.net;
-  net.switch_port_queue_bytes = 0;
-  Fabric fabric(sim_, net);
+  Fabric fabric(sim_, params_.net);
   TopologyPlan plan = BuildSwitchChain(fabric, /*num_switches=*/3, /*per_switch=*/2);
   sim::LinkFaultRule rule;
   rule.bitflip_rate = 0.5;  // a flip on half of all link transmissions

@@ -3,7 +3,8 @@
 // fabric: spec parsing, all-pairs delivery on every shape, fat-tree spine
 // diversity, route consume/strip over 1/2/3 hops (including truncated
 // routes), the route-length bound, (switch, port)-addressed fault rules,
-// emergent incast congestion, and bitwise run-to-run determinism.
+// emergent incast congestion, per-wire ordering under backpressure, and
+// bitwise run-to-run determinism.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -95,12 +96,14 @@ class RecordingSink : public Endpoint {
   explicit RecordingSink(sim::Simulator& sim) : sim_(sim) {}
   void OnPacket(Packet packet, Tick, Link*) override {
     packets.push_back(std::move(packet));
+    heads.push_back(sim_.now());
   }
   void OnPacketDropped(const Packet& packet) override {
     dropped.push_back(packet);
   }
   sim::Simulator& sim_;
   std::vector<Packet> packets;
+  std::vector<Tick> heads;  // head arrival time of each packet
   std::vector<Packet> dropped;
 };
 
@@ -427,26 +430,47 @@ TEST(CongestionTest, FullQueueStallsUpstreamLink) {
   EXPECT_GT(fabric.total_hol_stall_time(), 0);
 }
 
-TEST(CongestionTest, ZeroCapDisablesBackpressure) {
+TEST(CongestionTest, HeldPacketBlocksLaterPacketsOnItsWire) {
+  // Wormhole: a packet held on its inbound wire for room in a full output
+  // queue blocks every later packet on that wire, even one bound for an
+  // idle port. NICs 2 and 3 fill port 0 (one 4000 B packet on its wire,
+  // one queued), so NIC 1's packet to NIC 0 is held until NIC 3's leaves
+  // the queue; NIC 1's next packet, to idle NIC 4, must wait behind it.
   sim::Simulator sim;
   Params params;
-  params.net.switch_port_queue_bytes = 0;  // infinite buffering
+  params.net.switch_port_queue_bytes = 2048;
   Fabric fabric(sim, params.net);
   auto cfg = ParseTopologySpec("single:8@8");
   ASSERT_TRUE(cfg.ok());
   auto sinks = Stand(sim, fabric, cfg.value());
-
-  for (int src = 1; src < 8; ++src) {
-    for (int burst = 0; burst < 4; ++burst) {
-      Packet p;
-      p.route = fabric.ComputeRoute(src, 0).value();
-      p.payload.assign(4000, static_cast<std::uint8_t>(src));
-      ASSERT_TRUE(fabric.Inject(src, std::move(p)).ok());
-    }
-  }
+  auto send = [&](int src, int dst, std::size_t bytes) {
+    Packet p;
+    p.route = fabric.ComputeRoute(src, dst).value();
+    p.payload.assign(bytes, static_cast<std::uint8_t>(src));
+    ASSERT_TRUE(fabric.Inject(src, std::move(p)).ok());
+  };
+  send(2, 0, 4000);
+  send(3, 0, 4000);
+  send(1, 0, 100);
+  send(1, 4, 64);
   sim.Run();
-  EXPECT_EQ(sinks[0]->packets.size(), 28u);
-  EXPECT_EQ(fabric.total_hol_stalls(), 0u);
+  ASSERT_EQ(sinks[0]->packets.size(), 3u);
+  ASSERT_EQ(sinks[4]->packets.size(), 1u);
+  EXPECT_EQ(fabric.total_hol_stalls(), 1u);
+  EXPECT_EQ(sinks[0]->packets[1].payload[0], 3);
+  EXPECT_EQ(sinks[0]->packets[2].payload[0], 1);
+  EXPECT_GE(sinks[4]->heads[0], sinks[0]->heads[1])
+      << "NIC 1's second packet overtook its held first packet";
+}
+
+TEST(CongestionTest, ZeroQueueCapIsRejected) {
+  // The output queues have no unbounded mode: the switch refuses a zero
+  // bound where it is built.
+  sim::Simulator sim;
+  Params params;
+  params.net.switch_port_queue_bytes = 0;
+  Fabric fabric(sim, params.net);
+  EXPECT_DEATH(fabric.AddSwitch(8), "switch_port_queue_bytes must be > 0");
 }
 
 // One full fabric exercise, returning a fingerprint of everything timing-

@@ -391,11 +391,15 @@ TEST_F(VmmcTest, SendBeyondImportedBufferFails) {
 TEST_F(VmmcTest, ReceiverChecksIncomingTableEvenForForgedPackets) {
   Boot();
   // Inject a forged VMMC data packet aimed at an arbitrary frame that was
-  // never exported. The receive path must refuse to DMA.
+  // never exported. It carries the destination and the sequence number
+  // node 1 expects next, so only the incoming page table stands in its
+  // way. The receive path must refuse to DMA.
   ChunkHeader h;
   h.type = PacketType::kData;
   h.flags = ChunkHeader::kFlagLastChunk;
   h.src_node = 0;
+  h.dst_node = 1;
+  h.seq = 0;
   h.msg_len = 64;
   h.chunk_len = 64;
   h.dst_pa0 = 5 * mem::kPageSize;
@@ -739,11 +743,11 @@ TEST_F(VmmcTest, CrcErrorsAreCountedAndDropped) {
   Boot();
   // Corrupt the network only after boot (the mapping phase needs working
   // probes; in the paper's deployment link errors during mapping would
-  // equally abort the boot). Reliability off: this test pins down the
-  // paper's original drop-and-count behavior (§4.2); the go-back-N layer
-  // has its own tests in fault_test.cpp.
-  cluster_->mutable_params().net.packet_error_rate = 1.0;
-  cluster_->mutable_params().vmmc.reliability.enabled = false;
+  // equally abort the boot). Every packet is corrupted, so the sender's
+  // go-back-N retries never get through; fault_test.cpp covers recovery.
+  sim::LinkFaultRule rule;
+  rule.bitflip_rate = 1.0;
+  sim_.faults().Configure(sim::FaultPlan::AllLinks(rule, /*seed=*/5));
   auto recv = cluster_->OpenEndpoint(1, "receiver");
   auto send = cluster_->OpenEndpoint(0, "sender");
   ASSERT_TRUE(recv.ok() && send.ok());
@@ -763,12 +767,14 @@ TEST_F(VmmcTest, CrcErrorsAreCountedAndDropped) {
     CO_ASSERT_TRUE(s.ok());
   };
   sim_.Spawn(sender(*send.value()));
-  RunAll();
-  // Every data packet was corrupted: dropped at the receiver, counted, no
-  // recovery attempted (§4.2).
+  // Bounded: the RTO retries a chunk that never arrives intact forever.
+  sim_.RunUntilTime(sim_.now() + sim::Milliseconds(10));
+  // Every data packet was corrupted: dropped at the receiver and counted
+  // (§4.2), then resent after a retransmit timeout.
   EXPECT_GE(cluster_->node(1).nic->crc_errors(), 1u);
   EXPECT_GE(cluster_->node(1).lcp->stats().crc_drops, 1u);
   EXPECT_EQ(cluster_->node(1).lcp->stats().bytes_received, 0u);
+  EXPECT_GE(cluster_->node(0).lcp->stats().retransmit_timeouts, 1u);
 }
 
 TEST_F(VmmcTest, UnexportDisablesFutureDelivery) {

@@ -163,7 +163,6 @@ TEST(WireTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->header.type, PacketType::kData);
   EXPECT_TRUE(decoded->header.last_chunk());
   EXPECT_TRUE(decoded->header.notify());
-  EXPECT_FALSE(decoded->header.reliable());
   EXPECT_EQ(decoded->header.src_node, 3);
   EXPECT_EQ(decoded->header.msg_len, 100000u);
   EXPECT_EQ(decoded->header.chunk_len, 4096u);
@@ -178,7 +177,6 @@ TEST(WireTest, EncodeDecodeRoundTrip) {
 TEST(WireTest, AckPacketsRoundTrip) {
   ChunkHeader h;
   h.type = PacketType::kAck;
-  h.flags = ChunkHeader::kFlagReliable;
   h.src_node = 1;   // the acking receiver
   h.dst_node = 0;   // the sender being acked
   h.seq = 4242;     // cumulative: next expected
@@ -187,7 +185,6 @@ TEST(WireTest, AckPacketsRoundTrip) {
   auto decoded = DecodeChunk(payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header.type, PacketType::kAck);
-  EXPECT_TRUE(decoded->header.reliable());
   EXPECT_EQ(decoded->header.seq, 4242u);
   EXPECT_EQ(decoded->header.src_node, 1);
   EXPECT_EQ(decoded->header.dst_node, 0);
