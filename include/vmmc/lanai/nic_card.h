@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "vmmc/host/machine.h"
 #include "vmmc/lanai/sram.h"
@@ -126,11 +125,8 @@ class NicCard : public myrinet::Endpoint {
   // ---- host side ----
   // DMA between host physical memory and LANai SRAM buffers. Timing goes
   // through the machine's PCI bus; bytes move for real so end-to-end data
-  // integrity is testable.
-  sim::Process HostDmaRead(mem::PhysAddr src, std::vector<std::uint8_t>& out,
-                           std::size_t len);
-  // Zero-copy variant: DMAs straight into caller-owned storage (e.g. the
-  // data region of a pooled payload buffer) — no intermediate vector.
+  // integrity is testable. A read lands straight in caller-owned storage
+  // (e.g. the data region of a pooled payload buffer).
   sim::Process HostDmaRead(mem::PhysAddr src, std::span<std::uint8_t> out);
   sim::Process HostDmaWrite(mem::PhysAddr dst, std::span<const std::uint8_t> in);
 

@@ -3,12 +3,12 @@
 // benchmarks can allocate buffers the way a user program would.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "vmmc/mem/physical_memory.h"
@@ -23,32 +23,60 @@ struct PageTableEntry {
   std::uint32_t pin_count = 0;  // >0: page may be a DMA source/target
 };
 
-// Virtual-to-physical mapping for one process.
+// Virtual-to-physical mapping for one process: sorted, disjoint runs of
+// consecutive VPNs, each a dense vector of slots. AddressSpace maps pages
+// at two growing cursors (the heap's and the mmap region's), so it has at
+// most two runs and a lookup is a range check plus an index. An Insert may
+// move entries: no pointer from Find outlives the next Insert.
 class PageTable {
  public:
-  bool Contains(Vpn vpn) const { return entries_.contains(vpn); }
-  const PageTableEntry* Find(Vpn vpn) const;
-  PageTableEntry* Find(Vpn vpn);
+  bool Contains(Vpn vpn) const { return Find(vpn) != nullptr; }
+  const PageTableEntry* Find(Vpn vpn) const {
+    const Slot* slot = SlotFor(vpn);
+    return slot != nullptr && slot->present ? &slot->entry : nullptr;
+  }
+  PageTableEntry* Find(Vpn vpn) {
+    return const_cast<PageTableEntry*>(std::as_const(*this).Find(vpn));
+  }
   Status Insert(Vpn vpn, PageTableEntry entry);
   Status Erase(Vpn vpn);
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return size_; }
 
   template <typename Fn>  // Fn(Vpn, const PageTableEntry&)
   void ForEach(Fn&& fn) const {
-    // Visit in VPN order: hash order must not leak to callers (the
-    // destructor frees frames through this, and frame-free order feeds
-    // the physical allocator's reuse order).
-    std::vector<Vpn> vpns;
-    vpns.reserve(entries_.size());
-    // vmmc-lint: allow(unordered-iter): vpns are sorted below before visiting
-    for (const auto& [vpn, entry] : entries_) vpns.push_back(vpn);
-    std::sort(vpns.begin(), vpns.end());
-    for (Vpn vpn : vpns) fn(vpn, entries_.at(vpn));
+    // In VPN order: the destructor frees frames through this, and
+    // frame-free order feeds the physical allocator's reuse order.
+    for (const Run& run : runs_) {
+      for (std::size_t i = 0; i < run.slots.size(); ++i) {
+        if (run.slots[i].present) fn(run.base + i, run.slots[i].entry);
+      }
+    }
   }
-  void Clear() { entries_.clear(); }
+  void Clear() {
+    runs_.clear();
+    size_ = 0;
+  }
 
  private:
-  std::unordered_map<Vpn, PageTableEntry> entries_;
+  struct Slot {
+    PageTableEntry entry;
+    bool present = false;
+  };
+  struct Run {  // VPNs [base, base + slots.size())
+    Vpn base = 0;
+    std::vector<Slot> slots;
+  };
+
+  // The slot for `vpn`, present or not; nullptr outside every run.
+  const Slot* SlotFor(Vpn vpn) const {
+    for (const Run& run : runs_) {
+      if (vpn - run.base < run.slots.size()) return &run.slots[vpn - run.base];
+    }
+    return nullptr;
+  }
+
+  std::vector<Run> runs_;  // sorted by base, disjoint
+  std::size_t size_ = 0;   // present slots
 };
 
 class AddressSpace {

@@ -1,16 +1,15 @@
-// Simulated physical memory of one node: a frame allocator plus lazily
-// backed byte storage. The allocator hands frames out in a deterministic
-// scattered order, reproducing the fact (central to the paper's bandwidth
-// analysis, section 5.2) that consecutive virtual pages are usually not
-// physically contiguous, which caps DMA transfer units at one page.
+// Simulated physical memory of one node: a frame allocator plus byte
+// storage in one anonymous host mapping, so a load, store or DMA is a
+// bounds check and a memcpy. The allocator hands frames out in a
+// deterministic scattered order, reproducing the fact (central to the
+// paper's bandwidth analysis, section 5.2) that consecutive virtual pages
+// are usually not physically contiguous, which caps DMA transfer units at
+// one page.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
+#include <cstring>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "vmmc/mem/types.h"
@@ -38,7 +37,9 @@ struct WriteWatch {
 class PhysicalMemory {
  public:
   // `bytes` must be page aligned. `scatter_seed` != 0 shuffles the frame
-  // free list deterministically; 0 keeps it sequential.
+  // free list deterministically; 0 keeps it sequential. Reserves `bytes`
+  // of host address space (std::bad_alloc if it cannot); a page becomes
+  // resident only when first written.
   explicit PhysicalMemory(std::uint64_t bytes, std::uint64_t scatter_seed = 1);
   // Disarms any watch still armed, so its owner may outlive the memory.
   ~PhysicalMemory();
@@ -50,12 +51,22 @@ class PhysicalMemory {
   std::uint64_t free_frames() const { return free_list_.size(); }
 
   Result<Pfn> AllocFrame();
+  // Zeroes the frame if it was written, so it reads zeros when reused.
   Status FreeFrame(Pfn pfn);
-  bool IsAllocated(Pfn pfn) const { return allocated_.contains(pfn); }
+  bool IsAllocated(Pfn pfn) const {
+    return pfn < num_frames_ && allocated_[pfn];
+  }
 
   // Byte access; may cross frame boundaries. Reads of never-written memory
   // return zeros. Out-of-range access is a checked failure.
-  Status Read(PhysAddr addr, std::span<std::uint8_t> out) const;
+  Status Read(PhysAddr addr, std::span<std::uint8_t> out) const {
+    if (out.empty()) return OkStatus();
+    if (addr + out.size() > size_bytes() || addr + out.size() < addr) {
+      return ReadPastEnd();
+    }
+    std::memcpy(out.data(), bytes_ + addr, out.size());
+    return OkStatus();
+  }
   Status Write(PhysAddr addr, std::span<const std::uint8_t> in);
 
   // Watches are notified in arming order.
@@ -63,15 +74,14 @@ class PhysicalMemory {
   void Disarm(WriteWatch& w);
 
  private:
-  using Frame = std::array<std::uint8_t, kPageSize>;
-
-  Frame* BackingFor(Pfn pfn) const;  // nullptr if untouched
-  Frame& EnsureBacking(Pfn pfn);
+  // Out of line, so the error message is not built in every inlined Read.
+  static Status ReadPastEnd();
 
   std::uint64_t num_frames_;
-  std::vector<Pfn> free_list_;  // popped from the back
-  std::unordered_set<Pfn> allocated_;
-  mutable std::unordered_map<Pfn, std::unique_ptr<Frame>> backing_;
+  std::uint8_t* bytes_ = nullptr;  // frame `pfn` is at bytes_ + PageAddr(pfn)
+  std::vector<Pfn> free_list_;     // popped from the back
+  std::vector<bool> allocated_;
+  std::vector<bool> written_;  // stored to since it was last zeroed
   WriteWatch* watch_head_ = nullptr;
   WriteWatch* watch_tail_ = nullptr;
 };

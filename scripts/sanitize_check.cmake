@@ -3,8 +3,10 @@
 #   cmake -DVMMC_SRC=<src> -DVMMC_BIN=<bin> [-DVMMC_SAN=<list>]
 #         [-DVMMC_TESTS=<list>] -P sanitize_check.cmake
 # Defaults cover the tests that exercise the event-node pool, InlineFn
-# storage, the placed-event queue, the intrusive write-watch list and the
-# Buffer ref-count/pool code most heavily under ASan + UBSan.
+# storage, the placed-event queue, the intrusive write-watch list, the
+# Buffer ref-count/pool code and the simulated memory (one mapping per
+# node, the run page table) most heavily under ASan + UBSan. None of them
+# boots a VMMC cluster, whose teardown leaks suspended coroutine frames.
 
 if(NOT VMMC_SRC OR NOT VMMC_BIN)
   message(FATAL_ERROR "usage: cmake -DVMMC_SRC=<src> -DVMMC_BIN=<bin> -P sanitize_check.cmake")
@@ -15,7 +17,7 @@ if(NOT VMMC_SAN)
 endif()
 if(NOT VMMC_TESTS)
   set(VMMC_TESTS sim_test sim_determinism_test spin_wait_test task_test
-      topology_test buffer_test)
+      topology_test buffer_test mem_test)
 endif()
 
 set(_tests ${VMMC_TESTS})

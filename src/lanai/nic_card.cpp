@@ -101,26 +101,6 @@ sim::Process NicCard::NetSend(myrinet::Packet packet) {
   FinishEngineOp(net_tx_obs_, t0, wire);
 }
 
-sim::Process NicCard::HostDmaRead(mem::PhysAddr src, std::vector<std::uint8_t>& out,
-                                  std::size_t len) {
-  auto lock = co_await sim::ScopedAcquire(host_dma_engine_);
-  auto span = obs_bound_
-                  ? sim_.tracer().Scope(host_dma_obs_.track, "host_dma_read")
-                  : obs::Tracer::Span();
-  const sim::Tick t0 = sim_.now();
-  // Injected DMA-engine stall (sim/fault.h): the engine holds the transfer
-  // until the stall window closes.
-  if (const sim::Tick stall = sim_.faults().DmaStallDelay(nic_id_); stall > 0) {
-    co_await sim_.Delay(stall);
-  }
-  co_await machine_.pci().Dma(len);
-  out.resize(len);
-  Status s = machine_.memory().Read(src, out);
-  assert(s.ok() && "host DMA read from bad physical address");
-  (void)s;
-  FinishEngineOp(host_dma_obs_, t0, len);
-}
-
 sim::Process NicCard::HostDmaRead(mem::PhysAddr src,
                                   std::span<std::uint8_t> out) {
   auto lock = co_await sim::ScopedAcquire(host_dma_engine_);
@@ -128,6 +108,8 @@ sim::Process NicCard::HostDmaRead(mem::PhysAddr src,
                   ? sim_.tracer().Scope(host_dma_obs_.track, "host_dma_read")
                   : obs::Tracer::Span();
   const sim::Tick t0 = sim_.now();
+  // Injected DMA-engine stall (sim/fault.h): the engine holds the transfer
+  // until the stall window closes.
   if (const sim::Tick stall = sim_.faults().DmaStallDelay(nic_id_); stall > 0) {
     co_await sim_.Delay(stall);
   }

@@ -2,32 +2,38 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace vmmc::mem {
 
-const PageTableEntry* PageTable::Find(Vpn vpn) const {
-  auto it = entries_.find(vpn);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-PageTableEntry* PageTable::Find(Vpn vpn) {
-  auto it = entries_.find(vpn);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
 Status PageTable::Insert(Vpn vpn, PageTableEntry entry) {
-  if (entries_.contains(vpn)) return AlreadyExists("vpn already mapped");
-  entries_.emplace(vpn, entry);
+  auto next =
+      std::upper_bound(runs_.begin(), runs_.end(), vpn,
+                       [](Vpn v, const Run& run) { return v < run.base; });
+  // Grow the run before if `vpn` is in it or just past its end; otherwise
+  // start an empty run at `vpn`.
+  if (next == runs_.begin() ||
+      vpn - std::prev(next)->base > std::prev(next)->slots.size()) {
+    next = std::next(runs_.insert(next, Run{vpn, {}}));
+  }
+  Run& run = *std::prev(next);
+  const std::size_t i = vpn - run.base;
+  if (i == run.slots.size()) run.slots.emplace_back();
+  Slot& slot = run.slots[i];
+  if (slot.present) return AlreadyExists("vpn already mapped");
+  slot = Slot{entry, true};
+  ++size_;
   return OkStatus();
 }
 
 Status PageTable::Erase(Vpn vpn) {
-  auto it = entries_.find(vpn);
-  if (it == entries_.end()) return NotFound("vpn not mapped");
-  if (it->second.pin_count > 0) {
+  Slot* slot = const_cast<Slot*>(SlotFor(vpn));
+  if (slot == nullptr || !slot->present) return NotFound("vpn not mapped");
+  if (slot->entry.pin_count > 0) {
     return FailedPrecondition("cannot unmap pinned page");
   }
-  entries_.erase(it);
+  slot->present = false;
+  --size_;
   return OkStatus();
 }
 
@@ -113,11 +119,12 @@ Result<PhysAddr> AddressSpace::TranslatePinned(VirtAddr va) const {
 Status AddressSpace::Read(VirtAddr va, std::span<std::uint8_t> out) const {
   std::size_t done = 0;
   while (done < out.size()) {
-    auto pa = Translate(va + done);
-    if (!pa.ok()) return pa.status();
+    const PageTableEntry* e = pt_.Find(PageNumber(va + done));
+    if (e == nullptr) return NotFound("virtual address not mapped");
     const std::size_t n =
         std::min(out.size() - done, kPageSize - PageOffset(va + done));
-    Status s = pm_.Read(pa.value(), out.subspan(done, n));
+    Status s = pm_.Read(PageAddr(e->pfn) + PageOffset(va + done),
+                        out.subspan(done, n));
     if (!s.ok()) return s;
     done += n;
   }

@@ -1,15 +1,20 @@
 #include "vmmc/mem/physical_memory.h"
 
-#include <algorithm>
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstring>
+#include <new>
+#include <utility>
 
 #include "vmmc/sim/rng.h"
 
 namespace vmmc::mem {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t bytes, std::uint64_t scatter_seed)
-    : num_frames_(bytes / kPageSize) {
+    : num_frames_(bytes / kPageSize),
+      allocated_(num_frames_),
+      written_(num_frames_) {
   assert(bytes % kPageSize == 0);
   free_list_.reserve(num_frames_);
   // Fill descending so pops from the back yield ascending PFNs by default.
@@ -21,10 +26,20 @@ PhysicalMemory::PhysicalMemory(std::uint64_t bytes, std::uint64_t scatter_seed)
                 free_list_[static_cast<std::size_t>(rng.UniformU64(i))]);
     }
   }
+  if (bytes == 0) return;
+  // Private and unreserved: an untouched page costs nothing and reads as
+  // the kernel's zero page. No transparent huge pages, or one store could
+  // make 2 MB resident.
+  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  (void)madvise(map, bytes, MADV_NOHUGEPAGE);  // fails harmlessly without THP
+  bytes_ = static_cast<std::uint8_t*>(map);
 }
 
 PhysicalMemory::~PhysicalMemory() {
   while (watch_head_ != nullptr) Disarm(*watch_head_);
+  if (bytes_ != nullptr) munmap(bytes_, size_bytes());
 }
 
 void PhysicalMemory::Arm(WriteWatch& w) {
@@ -61,49 +76,23 @@ Result<Pfn> PhysicalMemory::AllocFrame() {
   if (free_list_.empty()) return ResourceExhausted("out of physical frames");
   Pfn pfn = free_list_.back();
   free_list_.pop_back();
-  allocated_.insert(pfn);
+  allocated_[pfn] = true;
   return pfn;
 }
 
 Status PhysicalMemory::FreeFrame(Pfn pfn) {
-  if (!allocated_.erase(pfn)) return InvalidArgument("frame not allocated");
-  backing_.erase(pfn);
+  if (!IsAllocated(pfn)) return InvalidArgument("frame not allocated");
+  allocated_[pfn] = false;
+  if (written_[pfn]) {
+    std::memset(bytes_ + PageAddr(pfn), 0, kPageSize);
+    written_[pfn] = false;
+  }
   free_list_.push_back(pfn);
   return OkStatus();
 }
 
-PhysicalMemory::Frame* PhysicalMemory::BackingFor(Pfn pfn) const {
-  auto it = backing_.find(pfn);
-  return it == backing_.end() ? nullptr : it->second.get();
-}
-
-PhysicalMemory::Frame& PhysicalMemory::EnsureBacking(Pfn pfn) {
-  auto& slot = backing_[pfn];
-  if (!slot) {
-    slot = std::make_unique<Frame>();
-    slot->fill(0);
-  }
-  return *slot;
-}
-
-Status PhysicalMemory::Read(PhysAddr addr, std::span<std::uint8_t> out) const {
-  if (out.empty()) return OkStatus();
-  if (addr + out.size() > size_bytes() || addr + out.size() < addr) {
-    return OutOfRange("physical read past end of memory");
-  }
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const Pfn pfn = PageNumber(addr + done);
-    const std::size_t off = PageOffset(addr + done);
-    const std::size_t n = std::min(out.size() - done, kPageSize - off);
-    if (const Frame* f = BackingFor(pfn)) {
-      std::memcpy(out.data() + done, f->data() + off, n);
-    } else {
-      std::memset(out.data() + done, 0, n);
-    }
-    done += n;
-  }
-  return OkStatus();
+Status PhysicalMemory::ReadPastEnd() {
+  return OutOfRange("physical read past end of memory");
 }
 
 Status PhysicalMemory::Write(PhysAddr addr, std::span<const std::uint8_t> in) {
@@ -111,16 +100,11 @@ Status PhysicalMemory::Write(PhysAddr addr, std::span<const std::uint8_t> in) {
   if (addr + in.size() > size_bytes() || addr + in.size() < addr) {
     return OutOfRange("physical write past end of memory");
   }
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const Pfn pfn = PageNumber(addr + done);
-    const std::size_t off = PageOffset(addr + done);
-    const std::size_t n = std::min(in.size() - done, kPageSize - off);
-    Frame& f = EnsureBacking(pfn);
-    std::memcpy(f.data() + off, in.data() + done, n);
-    done += n;
-  }
+  std::memcpy(bytes_ + addr, in.data(), in.size());
   const PhysAddr end = addr + in.size();
+  for (Pfn pfn = PageNumber(addr); pfn <= PageNumber(end - 1); ++pfn) {
+    written_[pfn] = true;
+  }
   for (WriteWatch* w = watch_head_; w != nullptr;) {
     WriteWatch* next = w->next;  // on_write may disarm `w`
     if (w->begin < end && addr < w->end) w->on_write(w->ctx);

@@ -94,6 +94,15 @@ std::vector<FaultCase> FullMatrix() {
   return cases;
 }
 
+// Runs `sim` until `pred` holds or simulated time reaches `deadline`, and
+// returns pred(): a data-path hang fails at the deadline instead of
+// spinning until the test times out.
+template <typename Pred>
+bool RunUntilBy(sim::Simulator& sim, Tick deadline, Pred&& pred) {
+  sim.RunUntil([&] { return pred() || sim.now() >= deadline; });
+  return pred();
+}
+
 std::vector<std::uint8_t> MakePayload(std::uint64_t tag, std::uint32_t len) {
   std::vector<std::uint8_t> v(len);
   std::uint32_t x = static_cast<std::uint32_t>(tag * 2654435761u + 1);
@@ -171,16 +180,18 @@ TEST_P(FaultMatrixTest, SendsDeliverExactlyOnceInOrder) {
     done = true;
   };
   sim.Spawn(prog());
-  // No deadlock: the whole exchange finishes in bounded simulated time.
-  ASSERT_TRUE(sim.RunUntil([&] { return done; }, 2'000'000'000)) << fc.Name();
+  // No deadlock: the whole exchange finishes in bounded simulated time
+  // (the slowest case, bitflip_high_s33, needs 7.3 ms).
+  const Tick deadline = sim.now() + sim::Milliseconds(50);
+  ASSERT_TRUE(RunUntilBy(sim, deadline, [&] { return done; })) << fc.Name();
   // Drain: sender completion is local, the tail chunks (and their
   // retransmissions) may still be in flight.
   const auto& rstats = cluster.node(1).lcp->stats();
   std::uint64_t expect_bytes = 0;
   for (std::uint32_t len : kLens) expect_bytes += len;
   expect_bytes += static_cast<std::uint64_t>(kOverwrites) * 8000;
-  ASSERT_TRUE(sim.RunUntil([&] { return rstats.bytes_received >= expect_bytes; },
-                           2'000'000'000))
+  ASSERT_TRUE(RunUntilBy(sim, deadline,
+                         [&] { return rstats.bytes_received >= expect_bytes; }))
       << fc.Name() << ": delivered " << rstats.bytes_received << "/"
       << expect_bytes;
 
@@ -282,7 +293,9 @@ TEST_P(FaultVrpcTest, CallsCompleteUnderFaults) {
     for (;;) co_await sim.Delay(sim::Seconds(1));  // keep transports alive
   };
   sim.Spawn(prog());
-  ASSERT_TRUE(sim.RunUntil([&] { return done; }, 2'000'000'000)) << fc.Name();
+  // The slowest case, bitflip_high_s5, needs 15.3 ms.
+  const Tick deadline = sim.now() + sim::Milliseconds(100);
+  ASSERT_TRUE(RunUntilBy(sim, deadline, [&] { return done; })) << fc.Name();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -323,7 +336,9 @@ TEST_P(FaultCollTest, BroadcastDeliversUnderFaults) {
     ++created;
   };
   for (int r = 0; r < size; ++r) sim.Spawn(create(r));
-  ASSERT_TRUE(sim.RunUntil([&] { return created == size; }, 2'000'000'000))
+  // Creation needs 7.8 ms, the slowest broadcast (bitflip) 8.6 ms.
+  const Tick create_deadline = sim.now() + sim::Milliseconds(50);
+  ASSERT_TRUE(RunUntilBy(sim, create_deadline, [&] { return created == size; }))
       << fc.Name();
 
   auto payload = MakePayload(99, 10'000);
@@ -337,7 +352,8 @@ TEST_P(FaultCollTest, BroadcastDeliversUnderFaults) {
     ++done;
   };
   for (int r = 0; r < size; ++r) sim.Spawn(prog(r));
-  ASSERT_TRUE(sim.RunUntil([&] { return done == size; }, 4'000'000'000))
+  const Tick deadline = sim.now() + sim::Milliseconds(50);
+  ASSERT_TRUE(RunUntilBy(sim, deadline, [&] { return done == size; }))
       << fc.Name();
   for (int r = 0; r < size; ++r) {
     EXPECT_EQ(got[static_cast<std::size_t>(r)], payload)
@@ -437,8 +453,8 @@ TEST_P(FaultRdmaTest, WriteWithFinAndReadBackUnderFaults) {
   // Bounded in simulated time: a lost fin or read chunk fails here
   // instead of spinning forever.
   const Tick deadline = sim.now() + sim::Seconds(1);
-  sim.RunUntil([&] { return done || sim.now() >= deadline; });
-  ASSERT_TRUE(done) << fc.Name() << " did not finish by the deadline";
+  ASSERT_TRUE(RunUntilBy(sim, deadline, [&] { return done; }))
+      << fc.Name() << " did not finish by the deadline";
   EXPECT_GT(cluster.node(0).lcp->stats().retransmits +
                 cluster.node(1).lcp->stats().retransmits,
             0u)
@@ -512,10 +528,12 @@ RunArtifacts RunSeededWorkload(std::uint64_t seed) {
     done = true;
   };
   sim.Spawn(prog());
-  EXPECT_TRUE(sim.RunUntil([&] { return done; }, 2'000'000'000));
+  // Either seed finishes within 3.0 ms.
+  const Tick deadline = sim.now() + sim::Milliseconds(20);
+  EXPECT_TRUE(RunUntilBy(sim, deadline, [&] { return done; }));
   const auto& rstats = cluster.node(1).lcp->stats();
-  EXPECT_TRUE(sim.RunUntil([&] { return rstats.bytes_received >= 6 * 9000; },
-                           2'000'000'000));
+  EXPECT_TRUE(RunUntilBy(sim, deadline,
+                         [&] { return rstats.bytes_received >= 6 * 9000; }));
 
   RunArtifacts out;
   out.metrics_json = sim.metrics().ToJson(sim.now());

@@ -108,10 +108,10 @@ TEST_F(NicTest, HostDmaMovesRealBytes) {
   std::iota(src.begin(), src.end(), 1);
   ASSERT_TRUE(m0_.memory().Write(pa, src).ok());
 
-  std::vector<std::uint8_t> staged;
+  std::vector<std::uint8_t> staged(4096);
   Tick read_done = -1, write_done = -1;
   auto driver = [&]() -> sim::Process {
-    co_await nic0_.HostDmaRead(pa, staged, 4096);
+    co_await nic0_.HostDmaRead(pa, staged);
     read_done = sim_.now();
     // Mutate and write back to a different offset.
     for (auto& b : staged) b ^= 0xFF;

@@ -2,9 +2,13 @@
 // access, page tables, address spaces, pinning and the user heap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "vmmc/mem/address_space.h"
@@ -91,12 +95,118 @@ TEST(PhysicalMemoryTest, UntouchedMemoryReadsZero) {
   for (auto b : buf) EXPECT_EQ(b, 0);
 }
 
+TEST(PhysicalMemoryTest, FreedFrameReadsZeroWhenReused) {
+  PhysicalMemory pm(4 * kPageSize, /*scatter_seed=*/0);
+  const Pfn a = pm.AllocFrame().value();
+  const Pfn b = pm.AllocFrame().value();
+  ASSERT_EQ(b, a + 1);
+  // One write filling both frames, ending 100 bytes short of b's end.
+  std::vector<std::uint8_t> pattern(2 * kPageSize - 100);
+  std::iota(pattern.begin(), pattern.end(), 1);
+  ASSERT_TRUE(pm.Write(PageAddr(a), pattern).ok());
+  ASSERT_TRUE(pm.FreeFrame(a).ok());
+  // The free list is LIFO: the next allocation hands the same frame back.
+  ASSERT_EQ(pm.AllocFrame().value(), a);
+  std::vector<std::uint8_t> back(kPageSize, 0xFF);
+  ASSERT_TRUE(pm.Read(PageAddr(a), back).ok());
+  EXPECT_EQ(back, std::vector<std::uint8_t>(kPageSize, 0));
+  // Zeroing stopped at the frame boundary: b keeps its bytes.
+  ASSERT_TRUE(pm.Read(PageAddr(b), back).ok());
+  EXPECT_TRUE(std::equal(back.begin(), back.end() - 100,
+                         pattern.begin() + kPageSize));
+  EXPECT_EQ(std::vector<std::uint8_t>(back.end() - 100, back.end()),
+            std::vector<std::uint8_t>(100, 0));
+}
+
 TEST(PhysicalMemoryTest, OutOfRangeRejected) {
   PhysicalMemory pm(2 * kPageSize);
   std::vector<std::uint8_t> buf(16);
   EXPECT_FALSE(pm.Read(2 * kPageSize - 8, buf).ok());
   EXPECT_FALSE(pm.Write(2 * kPageSize - 8, buf).ok());
   EXPECT_TRUE(pm.Read(2 * kPageSize - 16, buf).ok());
+}
+
+// Random Insert/Erase/Find/pin/unpin over VPNs in the heap and the mmap
+// regions, against an ordered map. ForEach order matters: the address
+// space frees frames through it, and that order decides frame reuse.
+void CheckPageTableAgainstMap(std::uint64_t seed) {
+  constexpr Vpn kHeapVpn = 0x0800'0000 >> kPageShift;
+  constexpr Vpn kMmapVpn = 0x1000'0000 >> kPageShift;
+  PageTable pt;
+  std::map<Vpn, PageTableEntry> ref;
+  sim::Rng rng(seed);
+  for (int step = 0; step < 3000; ++step) {
+    const Vpn vpn = (rng.Bernoulli(0.5) ? kHeapVpn : kMmapVpn) + rng.UniformU64(96);
+    const auto it = ref.find(vpn);
+    const bool mapped = it != ref.end();
+    switch (rng.UniformU64(5)) {
+      case 0: {  // insert
+        PageTableEntry e;
+        e.pfn = rng.UniformU64(1 << 20);
+        e.writable = rng.Bernoulli(0.5);
+        const Status s = pt.Insert(vpn, e);
+        if (mapped) {
+          EXPECT_EQ(s.code(), ErrorCode::kAlreadyExists) << "vpn " << vpn;
+        } else {
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          ref.emplace(vpn, e);
+        }
+        break;
+      }
+      case 1: {  // erase
+        const Status s = pt.Erase(vpn);
+        if (!mapped) {
+          EXPECT_EQ(s.code(), ErrorCode::kNotFound) << "vpn " << vpn;
+        } else if (it->second.pin_count > 0) {
+          EXPECT_EQ(s.code(), ErrorCode::kFailedPrecondition) << "vpn " << vpn;
+        } else {
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          ref.erase(it);
+        }
+        break;
+      }
+      case 2:  // pin
+        if (mapped) {
+          ++pt.Find(vpn)->pin_count;
+          ++it->second.pin_count;
+        }
+        break;
+      case 3:  // unpin
+        if (mapped && it->second.pin_count > 0) {
+          --pt.Find(vpn)->pin_count;
+          --it->second.pin_count;
+        }
+        break;
+      default:
+        break;
+    }
+    // Find agrees for this VPN, whatever the operation was.
+    const PageTableEntry* found = std::as_const(pt).Find(vpn);
+    const auto now = ref.find(vpn);
+    ASSERT_EQ(found != nullptr, now != ref.end()) << "vpn " << vpn;
+    ASSERT_EQ(pt.Contains(vpn), now != ref.end());
+    if (found != nullptr) {
+      EXPECT_EQ(found->pfn, now->second.pfn);
+      EXPECT_EQ(found->writable, now->second.writable);
+      EXPECT_EQ(found->pin_count, now->second.pin_count);
+    }
+    ASSERT_EQ(pt.size(), ref.size());
+    // ForEach visits exactly the mapped VPNs, in VPN order.
+    std::vector<std::tuple<Vpn, Pfn, std::uint32_t>> seen, want;
+    pt.ForEach([&](Vpn v, const PageTableEntry& e) {
+      seen.emplace_back(v, e.pfn, e.pin_count);
+    });
+    for (const auto& [v, e] : ref) want.emplace_back(v, e.pfn, e.pin_count);
+    ASSERT_EQ(seen, want) << "step " << step;
+  }
+}
+
+TEST(PageTableTest, MatchesOrderedMapReference) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    CheckPageTableAgainstMap(seed);
+    if (HasFatalFailure()) return;
+  }
 }
 
 class AddressSpaceTest : public ::testing::Test {

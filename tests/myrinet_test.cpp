@@ -39,6 +39,35 @@ TEST(Crc8Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(inc, Crc8(data));
 }
 
+// Bit-at-a-time shift register, MSB first: the hardware definition the
+// table-driven Crc8Update must reproduce.
+std::uint8_t Crc8Bitwise(std::uint8_t crc, std::span<const std::uint8_t> data) {
+  for (std::uint8_t byte : data) {
+    for (int bit = 7; bit >= 0; --bit) {
+      const bool feedback = ((crc >> 7) ^ (byte >> bit)) & 1;
+      crc = static_cast<std::uint8_t>(crc << 1);
+      if (feedback) crc ^= 0x07;
+    }
+  }
+  return crc;
+}
+
+TEST(Crc8Test, SlicedMatchesBitwiseReference) {
+  // Eight bytes per step plus a bytewise tail: every length up to 4200
+  // (so every tail length), random start offsets and initial CRCs.
+  sim::Rng rng(0xC8C8);
+  std::vector<std::uint8_t> data(4200 + 64);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.UniformU64(256));
+  for (std::size_t len = 0; len <= 4200; ++len) {
+    const std::size_t off = static_cast<std::size_t>(rng.UniformU64(64));
+    const auto init = static_cast<std::uint8_t>(rng.UniformU64(256));
+    const std::span<const std::uint8_t> bytes(data.data() + off, len);
+    ASSERT_EQ(Crc8Update(init, bytes), Crc8Bitwise(init, bytes))
+        << "len " << len << " offset " << off << " init " << int{init};
+    ASSERT_EQ(Crc8(bytes), Crc8Bitwise(0, bytes)) << "len " << len;
+  }
+}
+
 TEST(Crc8Test, DetectsByteSwapsAndTruncation) {
   // CRC-8 is position-sensitive: reordering or shortening the message
   // changes the checksum (the properties the NIC relies on to reject

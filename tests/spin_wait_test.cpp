@@ -135,7 +135,7 @@ struct World {
   }
 
   std::uint32_t Word(mem::PhysAddr pa) const {
-    std::uint8_t b[4];
+    std::uint8_t b[4] = {};
     (void)memory.Read(pa, b);
     return std::uint32_t{b[0]} | (std::uint32_t{b[1]} << 8) |
            (std::uint32_t{b[2]} << 16) | (std::uint32_t{b[3]} << 24);
