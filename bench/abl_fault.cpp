@@ -37,8 +37,8 @@ StreamResult RunLossyStream(double drop_rate, std::uint32_t len, int iters) {
         sim::FaultPlan::AllLinks(rule, /*seed=*/0xAB1FA017ull));
   }
 
-  const auto& rstats = fx.cluster().node(1).lcp->stats();
-  const std::uint64_t base_bytes = rstats.bytes_received;
+  const auto& rstats = fx.cluster().node(1).lcp->metrics();
+  const std::uint64_t base_bytes = rstats.bytes_received.value();
   const std::uint64_t expect =
       base_bytes + static_cast<std::uint64_t>(len) * iters;
 
@@ -56,7 +56,7 @@ StreamResult RunLossyStream(double drop_rate, std::uint32_t len, int iters) {
   const sim::Tick t0 = fx.sim().now();
   fx.sim().Spawn(stream());
   if (!fx.sim().RunUntil(
-          [&] { return sends_done && rstats.bytes_received >= expect; },
+          [&] { return sends_done && rstats.bytes_received.value() >= expect; },
           sim::Seconds(10))) {
     std::fprintf(stderr, "stream stalled at drop_rate=%.2f\n", drop_rate);
     std::abort();

@@ -35,7 +35,7 @@ ColdWarm MeasureColdWarm(std::uint32_t fill_batch, std::uint32_t len) {
     s = co_await fx.a().SendMsg(fx.a_src(), fx.a_to_b(), len);
     out.warm_us = sim::ToMicroseconds(fx.sim().now() - t0);
     if (!s.ok()) std::abort();
-    out.interrupts = fx.cluster().node(0).lcp->stats().tlb_miss_interrupts;
+    out.interrupts = fx.cluster().node(0).lcp->metrics().tlb_miss_interrupts.value();
     done = true;
   };
   fx.sim().Spawn(prog());

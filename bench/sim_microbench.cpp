@@ -191,9 +191,10 @@ void BM_MacroFaultSweepReplay(benchmark::State& state) {
     rule.bitflip_rate = 0.01;
     fx.sim().faults().Configure(
         FaultPlan::AllLinks(rule, /*seed=*/0xAB1FA017ull));
-    const auto& rstats = fx.cluster().node(1).lcp->stats();
+    const auto& rstats = fx.cluster().node(1).lcp->metrics();
     const std::uint64_t expect =
-        rstats.bytes_received + static_cast<std::uint64_t>(kLen) * kIters;
+        rstats.bytes_received.value() +
+        static_cast<std::uint64_t>(kLen) * kIters;
     bool sends_done = false;
     auto stream = [&]() -> Process {
       std::vector<std::uint8_t> payload(kLen, 0x5A);
@@ -205,7 +206,7 @@ void BM_MacroFaultSweepReplay(benchmark::State& state) {
     };
     fx.sim().Spawn(stream());
     if (!fx.sim().RunUntil(
-            [&] { return sends_done && rstats.bytes_received >= expect; },
+            [&] { return sends_done && rstats.bytes_received.value() >= expect; },
             Seconds(10))) {
       state.SkipWithError("stream stalled");
       return;

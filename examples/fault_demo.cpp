@@ -119,16 +119,16 @@ int main() {
   }
 
   const obs::Registry& m = sim.metrics();
-  const auto& tx = cluster.node(0).lcp->stats();
+  const auto& tx = cluster.node(0).lcp->metrics();
   std::printf("\ninjected: %llu drops, %llu bit flips, %llu delays\n",
               static_cast<unsigned long long>(m.CounterValue("fault.injected.drops")),
               static_cast<unsigned long long>(m.CounterValue("fault.injected.bitflips")),
               static_cast<unsigned long long>(m.CounterValue("fault.injected.delays")));
   std::printf("repaired: %llu retransmits (%llu via timeout), %llu duplicate "
               "chunks discarded\n",
-              static_cast<unsigned long long>(tx.retransmits),
-              static_cast<unsigned long long>(tx.retransmit_timeouts),
+              static_cast<unsigned long long>(tx.retransmits.value()),
+              static_cast<unsigned long long>(tx.retransmit_timeouts.value()),
               static_cast<unsigned long long>(
-                  cluster.node(1).lcp->stats().duplicate_chunks));
+                  cluster.node(1).lcp->metrics().duplicate_chunks.value()));
   return 0;
 }

@@ -118,12 +118,13 @@ int main() {
   sim.Spawn(Sender(sim, *sender.value()));
   sim.Run();
 
-  const auto& stats = cluster.node(0).lcp->stats();
+  const auto& stats = cluster.node(0).lcp->metrics();
   std::printf("\nsender NIC: %llu sends, %llu bytes, %llu protection "
               "violations\n",
-              static_cast<unsigned long long>(stats.sends_processed),
-              static_cast<unsigned long long>(stats.bytes_sent),
-              static_cast<unsigned long long>(stats.protection_violations));
+              static_cast<unsigned long long>(stats.sends.value()),
+              static_cast<unsigned long long>(stats.bytes_sent.value()),
+              static_cast<unsigned long long>(
+                  stats.protection_violations.value()));
   std::printf("receiver host CPU copies on the data path: %llu (zero-copy)\n",
               static_cast<unsigned long long>(
                   cluster.node(1).machine->cpu().bcopy_calls()));

@@ -106,9 +106,6 @@ class Communicator {
   // Point-to-point channels established so far (== size-1 when eager;
   // grows on demand when lazy).
   int links_established() const { return static_cast<int>(channels_.size()); }
-  // Channel protocol counters summed over all peers (diagnostics; shows
-  // which wire protocol a collective actually used).
-  vmmc_core::P2pChannel::Stats p2p_stats() const;
 
   static constexpr std::uint32_t kMaxMessage = 64 * 1024;
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 
 #include "vmmc/host/machine.h"
 #include "vmmc/lanai/sram.h"
@@ -22,32 +23,27 @@
 
 namespace vmmc::lanai {
 
-// LANai processor cost accounting (33 MHz; §3).
+// LANai processor cost accounting (33 MHz; §3). Busy time accumulates in
+// `exec_ns` (node<N>.lanai.exec_ns).
 class LanaiCpu {
  public:
-  LanaiCpu(sim::Simulator& sim, const LanaiParams& params)
-      : sim_(sim), params_(params) {}
+  LanaiCpu(sim::Simulator& sim, const LanaiParams& params,
+           obs::Counter& exec_ns)
+      : sim_(sim), params_(params), exec_ns_(exec_ns) {}
 
   const LanaiParams& params() const { return params_; }
 
   // Executes LCP work costing `t`: books the busy time and returns the
   // awaiter that holds the caller for it (`co_await cpu.Exec(t)`).
   sim::Simulator::DelayAwaiter Exec(sim::Tick t) {
-    busy_ += t;
-    if (exec_ns_m_ != nullptr) exec_ns_m_->Inc(static_cast<std::uint64_t>(t));
+    exec_ns_.Inc(static_cast<std::uint64_t>(t));
     return sim_.Delay(t);
   }
-
-  sim::Tick busy_time() const { return busy_; }
-
-  // Mirrors busy time into a registry counter (node<N>.lanai.exec_ns).
-  void BindMetrics(obs::Counter* exec_ns) { exec_ns_m_ = exec_ns; }
 
  private:
   sim::Simulator& sim_;
   const LanaiParams& params_;
-  sim::Tick busy_ = 0;
-  obs::Counter* exec_ns_m_ = nullptr;
+  obs::Counter& exec_ns_;
 };
 
 // A packet as handed to the LCP after the receive hardware ran its CRC
@@ -71,20 +67,12 @@ class Lcp {
   virtual void OnDropNotice(const myrinet::Packet& packet) { (void)packet; }
 };
 
+// Counts into node<N>.{nic,dma,lanai}.*, N being the host machine's node
+// id (which the cluster keeps equal to the fabric-assigned nic id).
 class NicCard : public myrinet::Endpoint {
  public:
   NicCard(sim::Simulator& sim, const Params& params, host::Machine& machine,
-          myrinet::Fabric& fabric)
-      : sim_(sim),
-        params_(params),
-        machine_(machine),
-        fabric_(fabric),
-        sram_(params.lanai.sram_bytes),
-        cpu_(sim, params.lanai),
-        rx_queue_(sim),
-        work_tokens_(sim, 0),
-        host_dma_engine_(sim, 1),
-        net_tx_engine_(sim, 1) {}
+          myrinet::Fabric& fabric);
 
   sim::Simulator& simulator() { return sim_; }
   const Params& params() const { return params_; }
@@ -118,9 +106,9 @@ class NicCard : public myrinet::Endpoint {
 
   // Received packets, in arrival order, for the LCP.
   sim::Mailbox<ReceivedPacket>& rx_queue() { return rx_queue_; }
-  std::uint64_t crc_errors() const { return crc_errors_; }
-  std::uint64_t packets_received() const { return packets_received_; }
-  std::uint64_t packets_sent() const { return packets_sent_; }
+  std::uint64_t crc_errors() const { return crc_errors_.value(); }
+  std::uint64_t packets_received() const { return packets_received_.value(); }
+  std::uint64_t packets_sent() const { return packets_sent_.value(); }
 
   // ---- host side ----
   // DMA between host physical memory and LANai SRAM buffers. Timing goes
@@ -161,27 +149,23 @@ class NicCard : public myrinet::Endpoint {
   sim::Semaphore host_dma_engine_;
   sim::Semaphore net_tx_engine_;
 
-  std::uint64_t crc_errors_ = 0;
-  std::uint64_t packets_received_ = 0;
-  std::uint64_t packets_sent_ = 0;
+  obs::Counter& crc_errors_;
+  obs::Counter& packets_received_;
+  obs::Counter& packets_sent_;
 
-  // Observability: bound when the NIC learns its id (AttachToFabric);
-  // a NIC never attached to a fabric (unit tests) reports nothing.
+  // One DMA engine's instruments and span track, all named `prefix`
+  // (node<N>.dma.<engine>).
   struct EngineObs {
-    obs::Counter* ops = nullptr;
-    obs::Counter* bytes = nullptr;
-    obs::Counter* busy_ns = nullptr;
-    obs::Gauge* utilization = nullptr;
-    int track = -1;
+    obs::Counter& ops;
+    obs::Counter& bytes;
+    obs::Counter& busy_ns;
+    obs::Gauge& utilization;
+    int track;
   };
-  void BindObs();
+  static EngineObs BindEngine(sim::Simulator& sim, const std::string& prefix);
   void FinishEngineOp(EngineObs& e, sim::Tick t0, std::uint64_t bytes);
   EngineObs host_dma_obs_;
   EngineObs net_tx_obs_;
-  obs::Counter* packets_sent_m_ = nullptr;
-  obs::Counter* packets_received_m_ = nullptr;
-  obs::Counter* crc_errors_m_ = nullptr;
-  bool obs_bound_ = false;
 };
 
 }  // namespace vmmc::lanai

@@ -59,17 +59,17 @@ class Endpoint {
 };
 
 // Unidirectional link: serializes packets at NetParams::link_mb_s, delivers
-// heads after link_latency, preserves injection order.
+// heads after link_latency, preserves injection order. Counts into
+// fabric.link<id>.{packets,bytes,ser_ns,blocked_ns}.
 class Link {
  public:
-  Link(sim::Simulator& sim, const NetParams& params);
+  Link(sim::Simulator& sim, const NetParams& params, int id);
 
   void set_destination(Endpoint* dst) { dst_ = dst; }
   Endpoint* destination() const { return dst_; }
 
   // Fabric-assigned identity, used to address this link in a FaultPlan
-  // (fault.h): flat id plus (origin switch, port) or origin NIC. Links
-  // built outside a Fabric keep all -1 and still match wildcard rules.
+  // (fault.h): flat id plus (origin switch, port) or origin NIC.
   void set_site(const sim::LinkSite& site) { site_ = site; }
   const sim::LinkSite& site() const { return site_; }
   int id() const { return site_.link_id; }
@@ -100,19 +100,12 @@ class Link {
   };
   util::Ring<Held>& held() { return held_; }
 
-  std::uint64_t packets_sent() const { return packets_; }
-  std::uint64_t bytes_sent() const { return bytes_; }
+  std::uint64_t packets_sent() const { return packets_.value(); }
   // Total busy time spent serializing packets (ns) — the numerator of this
   // link's utilization.
-  sim::Tick serialize_time() const { return ser_; }
-  // Total time packets waited for the wire (head-of-line occupancy, ns).
-  sim::Tick blocked_time() const { return blocked_; }
-
-  // Wires per-link accounting into registry counters
-  // (fabric.link<i>.{packets,bytes,ser_ns,blocked_ns}); unbound links
-  // count into internal sinks.
-  void BindMetrics(obs::Counter* packets, obs::Counter* bytes,
-                   obs::Counter* ser_ns, obs::Counter* blocked_ns);
+  sim::Tick serialize_time() const {
+    return static_cast<sim::Tick>(ser_ns_.value());
+  }
 
  private:
   sim::Simulator& sim_;
@@ -120,22 +113,20 @@ class Link {
   Endpoint* dst_ = nullptr;
   sim::LinkSite site_;
   sim::Tick busy_until_ = 0;
-  std::uint64_t packets_ = 0;
-  std::uint64_t bytes_ = 0;
-  sim::Tick ser_ = 0;
-  sim::Tick blocked_ = 0;
   util::Ring<Held> held_;
-  obs::Counter* packets_m_;
-  obs::Counter* bytes_m_;
-  obs::Counter* ser_ns_m_;
-  obs::Counter* blocked_ns_m_;
+  obs::Counter& packets_;
+  obs::Counter& bytes_;
+  obs::Counter& ser_ns_;
+  obs::Counter& blocked_ns_;  // time packets waited for the wire
 };
 
 // Crossbar switch (8 ports on the M2F-SW8; radix configurable). Consumes
 // the first route byte to select the output port; a packet with an empty
 // or invalid route is dropped (counted, and reported to the source NIC
 // through the fabric's drop handler). Each output port owns a bounded
-// queue; see the congestion model note at the top of this file.
+// queue; see the congestion model note at the top of this file. Counts
+// into fabric.switch<id>.{forwarded,dropped,queue_wait_ns,hol_stalls,
+// hol_stall_ns}.
 class Switch : public Endpoint {
  public:
   // Aborts if params.switch_port_queue_bytes is 0: the queues have no
@@ -157,24 +148,17 @@ class Switch : public Endpoint {
     drop_handler_ = std::move(handler);
   }
 
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t forwarded() const { return forwarded_; }
+  std::uint64_t dropped() const { return dropped_.value(); }
   // Total time routed packets sat in this switch's output queues waiting
   // for their wire (ns) — congestion that did not block upstream traffic.
-  sim::Tick queue_wait() const { return queue_wait_; }
+  sim::Tick queue_wait() const {
+    return static_cast<sim::Tick>(queue_wait_ns_.value());
+  }
   // Times a packet could not even be buffered and stalled its inbound link
   // (wormhole backpressure), and the total upstream time lost to it (ns).
-  std::uint64_t hol_stalls() const { return hol_stalls_; }
-  sim::Tick hol_stall_time() const { return hol_stall_; }
-
-  void BindMetrics(obs::Counter* forwarded, obs::Counter* dropped,
-                   obs::Counter* queue_wait_ns, obs::Counter* hol_stalls,
-                   obs::Counter* hol_stall_ns) {
-    forwarded_m_ = forwarded;
-    dropped_m_ = dropped;
-    queue_wait_ns_m_ = queue_wait_ns;
-    hol_stalls_m_ = hol_stalls;
-    hol_stall_ns_m_ = hol_stall_ns;
+  std::uint64_t hol_stalls() const { return hol_stalls_.value(); }
+  sim::Tick hol_stall_time() const {
+    return static_cast<sim::Tick>(hol_stall_ns_.value());
   }
 
  private:
@@ -210,16 +194,11 @@ class Switch : public Endpoint {
   std::vector<Link*> out_links_;
   std::vector<OutPort> ports_;
   std::function<void(Packet&&)> drop_handler_;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t forwarded_ = 0;
-  sim::Tick queue_wait_ = 0;
-  std::uint64_t hol_stalls_ = 0;
-  sim::Tick hol_stall_ = 0;
-  obs::Counter* forwarded_m_ = nullptr;
-  obs::Counter* dropped_m_ = nullptr;
-  obs::Counter* queue_wait_ns_m_ = nullptr;
-  obs::Counter* hol_stalls_m_ = nullptr;
-  obs::Counter* hol_stall_ns_m_ = nullptr;
+  obs::Counter& forwarded_;
+  obs::Counter& dropped_;
+  obs::Counter& queue_wait_ns_;
+  obs::Counter& hol_stalls_;
+  obs::Counter& hol_stall_ns_;
 };
 
 // The fabric: a container of switches, NIC attachment points and links,
@@ -227,7 +206,9 @@ class Switch : public Endpoint {
 class Fabric {
  public:
   Fabric(sim::Simulator& sim, const NetParams& params)
-      : sim_(sim), params_(params) {}
+      : sim_(sim),
+        params_(params),
+        drop_notices_(sim.metrics().GetCounter("fabric.drop_notices")) {}
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -277,7 +258,7 @@ class Fabric {
   void SetRouteOracle(RouteOracle oracle) { oracle_ = std::move(oracle); }
 
   std::uint64_t total_link_packets() const;
-  std::uint64_t drop_notices() const { return drop_notices_; }
+  std::uint64_t drop_notices() const { return drop_notices_.value(); }
   // Fabric-wide congestion totals (sums over switches; ns / counts).
   sim::Tick total_queue_wait() const;
   std::uint64_t total_hol_stalls() const;
@@ -303,10 +284,10 @@ class Fabric {
   std::vector<NicAttachment> nics_;
   std::vector<std::unique_ptr<Link>> links_;
   RouteOracle oracle_;
-  std::uint64_t drop_notices_ = 0;
+  obs::Counter& drop_notices_;
   std::vector<int> corrupt_next_;  // per-nic pending route corruptions
 
-  // A new link with its metrics bound into the simulator's registry.
+  // A new link, numbered in creation order.
   Link* NewLink();
   // Delivers a switch-dropped packet back to its source NIC's
   // OnPacketDropped (through the event queue, so ordering stays FIFO).

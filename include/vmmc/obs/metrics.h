@@ -1,8 +1,11 @@
 // Simulator-native metrics: named counters, gauges, and histograms owned
-// by a Registry (one per Simulator). Components obtain their instruments
-// once, at construction or bind time, and hold raw pointers; hot-path
-// updates are then a plain add with no lookup, no lock, and no branch on
-// an "enabled" flag — metrics are always on and cheap enough to stay on.
+// by a Registry (one per Simulator). A registry instrument is the only
+// copy of a count: each component binds its instruments once, in its
+// constructor or the factory that builds it, holds them as references
+// and reads its own counts back from them, so accessors and dumps agree.
+// Hot-path updates are then a plain add with no lookup, no lock, no null
+// check and no branch on an "enabled" flag — metrics are always on and
+// cheap enough to stay on.
 //
 // Naming scheme (see DESIGN.md): dot-separated, component instance first:
 //   node0.lcp.chunks_sent     node1.tlb.miss      node0.dma.host.busy_ns

@@ -89,8 +89,8 @@ class FaultInjector {
     Tick extra_delay = 0;
   };
 
-  FaultInjector(const Tick* now, obs::Registry* metrics)
-      : now_(now), metrics_(metrics) {}
+  // Counts into `metrics` as fault.injected.*.
+  FaultInjector(const Tick* now, obs::Registry& metrics);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
@@ -113,17 +113,16 @@ class FaultInjector {
 
  private:
   const Tick* now_;
-  obs::Registry* metrics_;
   FaultPlan plan_;
   Rng rng_;
   bool active_ = false;
 
-  obs::Counter* bitflips_m_ = nullptr;
-  obs::Counter* drops_m_ = nullptr;
-  obs::Counter* delays_m_ = nullptr;
-  obs::Counter* delay_ns_m_ = nullptr;
-  obs::Counter* dma_stalls_m_ = nullptr;
-  obs::Counter* dma_stall_ns_m_ = nullptr;
+  obs::Counter& bitflips_;
+  obs::Counter& drops_;
+  obs::Counter& delays_;
+  obs::Counter& delay_ns_;
+  obs::Counter& dma_stalls_;
+  obs::Counter& dma_stall_ns_;
 };
 
 }  // namespace vmmc::sim

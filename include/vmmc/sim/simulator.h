@@ -384,7 +384,7 @@ class Simulator {
   const EventNode* current_ = nullptr;  // the event being dispatched
   obs::Registry metrics_;
   obs::Tracer tracer_{&now_};
-  FaultInjector faults_{&now_, &metrics_};
+  FaultInjector faults_{&now_, metrics_};
 };
 
 }  // namespace vmmc::sim

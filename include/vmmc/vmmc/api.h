@@ -173,8 +173,6 @@ class Endpoint {
   // Errors of fire-and-forget short sends, observed via completion words.
   std::uint64_t deferred_send_errors() const { return deferred_send_errors_; }
 
-  const VmmcLcp::Stats& nic_stats() const { return lcp_->stats(); }
-
  private:
   Endpoint(const Params& params, host::Machine& machine, VmmcLcp& lcp,
            VmmcDriver& driver, VmmcDaemon& daemon, host::UserProcess& process);
@@ -222,8 +220,8 @@ class Endpoint {
   std::uint64_t deferred_send_errors_ = 0;
 
   // Host-side posting cost, for the latency budget (node<N>.host.*).
-  obs::Counter* send_posts_m_ = nullptr;
-  obs::Counter* pio_post_ns_m_ = nullptr;
+  obs::Counter& send_posts_;
+  obs::Counter& pio_post_ns_;
 };
 
 }  // namespace vmmc::vmmc_core

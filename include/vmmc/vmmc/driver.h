@@ -24,11 +24,12 @@ struct UserNotification {
   std::uint32_t msg_len = 0;
 };
 
+// Counts into node<N>.driver.{tlb_fills,pages_pinned,notifications}, N
+// being the NIC's id: attach the NIC to its fabric before building this.
 class VmmcDriver {
  public:
   VmmcDriver(const Params& params, host::Kernel& kernel, lanai::NicCard& nic,
-             VmmcLcp& lcp)
-      : params_(params), kernel_(kernel), nic_(nic), lcp_(lcp) {}
+             VmmcLcp& lcp);
   VmmcDriver(const VmmcDriver&) = delete;
   VmmcDriver& operator=(const VmmcDriver&) = delete;
 
@@ -42,31 +43,22 @@ class VmmcDriver {
   // signal handler).
   std::vector<UserNotification> DrainNotifications(int pid);
 
-  std::uint64_t tlb_fills() const { return tlb_fills_; }
-  std::uint64_t pages_pinned() const { return pages_pinned_; }
-  std::uint64_t notifications_delivered() const { return notifications_delivered_; }
+  std::uint64_t pages_pinned() const { return pages_pinned_.value(); }
 
  private:
   sim::Process HandleInterrupt();
-  // Lazy: the node id is only known once the NIC is attached, which can be
-  // after driver Install in the boot sequence.
-  void EnsureObs();
 
   const Params& params_;
   host::Kernel& kernel_;
-  lanai::NicCard& nic_;
   VmmcLcp& lcp_;
 
   // Per pid, in delivery order; drained whole by DrainNotifications.
   std::unordered_map<int, std::vector<UserNotification>> pending_;
-  std::uint64_t tlb_fills_ = 0;
-  std::uint64_t pages_pinned_ = 0;
-  std::uint64_t notifications_delivered_ = 0;
 
-  obs::Counter* tlb_fills_m_ = nullptr;
-  obs::Counter* pages_pinned_m_ = nullptr;
-  obs::Counter* notifications_m_ = nullptr;
-  int track_ = -1;  // "node<N>.driver" span track
+  obs::Counter& tlb_fills_;
+  obs::Counter& pages_pinned_;
+  obs::Counter& notifications_;
+  int track_;  // "node<N>.driver" span track
 };
 
 }  // namespace vmmc::vmmc_core

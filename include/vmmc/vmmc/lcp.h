@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "vmmc/host/kernel.h"
@@ -117,7 +118,7 @@ struct SendRequest {
 class ProcState {
  public:
   ProcState(sim::Simulator& sim, const VmmcParams& params,
-            host::UserProcess& process);
+            host::UserProcess& process, SwTlb::Counters tlb_counters);
 
   int pid() const { return process_->pid(); }
   host::UserProcess& process() { return *process_; }
@@ -175,7 +176,8 @@ struct PendingNotification {
 
 class VmmcLcp : public lanai::Lcp {
  public:
-  VmmcLcp(const Params& params, RouteTable routes);
+  VmmcLcp(sim::Simulator& sim, const Params& params, int node_id,
+          RouteTable routes);
 
   // --- LCP main loop (runs on the LANai) ---
   sim::Process Run(lanai::NicCard& nic) override;
@@ -232,38 +234,52 @@ class VmmcLcp : public lanai::Lcp {
   // Driver: pending notifications.
   std::optional<PendingNotification> PopNotification();
 
-  // --- statistics (read by tests and benches) ---
-  struct Stats {
-    std::uint64_t sends_processed = 0;
-    std::uint64_t short_sends = 0;
-    std::uint64_t long_sends = 0;
-    std::uint64_t chunks_sent = 0;
-    std::uint64_t chunks_received = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-    std::uint64_t send_errors = 0;
-    std::uint64_t protection_violations = 0;  // receive-side rejects
-    std::uint64_t crc_drops = 0;
-    std::uint64_t tlb_miss_interrupts = 0;
-    std::uint64_t notifications_raised = 0;
-    std::uint64_t tight_loop_chunks = 0;
-    std::uint64_t main_loop_chunks = 0;
+  // --- metrics ---
+  // Every count the LCP keeps, as the registry instruments of its node,
+  // bound once in the constructor: tests and benches read the same
+  // counters a metrics dump lists. Counter names are node<N>.lcp.<field>
+  // (node<N>.tlb.{hit,miss,eviction} for the software TLBs, shared by
+  // every process on the node).
+  struct Metrics {
+    Metrics(obs::Registry& m, obs::Tracer& tracer, const std::string& node);
+
+    obs::Counter& sends;                // requests picked up
+    obs::Counter& short_sends;          // <= short_send_max, inline data
+    obs::Counter& long_sends;           // chunked (proxy or RDMA write)
+    obs::Counter& chunks_sent;
+    obs::Counter& bytes_sent;
+    obs::Counter& chunks_received;
+    obs::Counter& bytes_received;
+    obs::Counter& send_errors;          // completions other than kDone
+    obs::Counter& protection_violations;  // sender- and receive-side rejects
+    obs::Counter& crc_drops;
+    obs::Counter& tlb_miss_interrupts;
+    obs::Counter& notifications;        // raised toward the driver
+    // §5.3: long-send chunks sent from the tight loop vs the main loop.
+    obs::Counter& tight_loop_chunks;
+    obs::Counter& main_loop_chunks;
     // Reliability layer (go-back-N).
-    std::uint64_t acks_sent = 0;
-    std::uint64_t acks_received = 0;
-    std::uint64_t retransmits = 0;          // data packets re-queued
-    std::uint64_t retransmit_timeouts = 0;  // RTO expiries
-    std::uint64_t duplicate_chunks = 0;     // receiver: already delivered
-    std::uint64_t out_of_order_chunks = 0;  // receiver: gap, discarded
-    std::uint64_t drop_notices = 0;         // fabric misroute reports
-    std::uint64_t window_stalls = 0;        // sends parked on a full window
+    obs::Counter& acks_sent;
+    obs::Counter& acks_received;
+    obs::Counter& retransmits;          // data packets re-queued
+    obs::Counter& retransmit_timeouts;  // RTO expiries
+    obs::Counter& duplicate_chunks;     // receiver: already delivered
+    obs::Counter& out_of_order_chunks;  // receiver: gap, discarded
+    obs::Counter& drop_notices;         // fabric misroute reports
+    obs::Counter& window_stalls;        // sends parked on a full window
     // One-sided RDMA (rtag-addressed; 0 unless the RDMA API is used).
-    std::uint64_t rdma_writes = 0;          // direct-send requests picked up
-    std::uint64_t rdma_read_requests = 0;   // read requests sent by this node
-    std::uint64_t rdma_reads_served = 0;    // read requests served for peers
-    std::uint64_t rdma_fins_sent = 0;       // completion fin chunks emitted
+    obs::Counter& rdma_writes;          // direct-send requests picked up
+    obs::Counter& rdma_read_requests;   // read requests sent by this node
+    obs::Counter& rdma_reads_served;    // read requests served for peers
+    obs::Counter& rdma_fins_sent;       // completion fin chunks emitted
+    SwTlb::Counters tlb;
+    obs::Gauge& send_queue_depth;
+    obs::Gauge& retx_in_use;
+    obs::Histo& host_dma_ns;   // per-chunk host-DMA phase
+    obs::Histo& translate_ns;  // per-chunk source translation
+    int track;                 // "node<N>.lcp" span track
   };
-  const Stats& stats() const { return stats_; }
+  const Metrics& metrics() const { return metrics_; }
 
   // True once the main loop has initialized its SRAM structures.
   bool running() const { return running_; }
@@ -343,6 +359,7 @@ class VmmcLcp : public lanai::Lcp {
   const Params& params_;
   RouteTable routes_;
   lanai::NicCard* nic_ = nullptr;
+  Metrics metrics_;
 
   std::vector<std::unique_ptr<ProcState>> procs_;
   std::size_t rr_cursor_ = 0;  // round-robin over send queues
@@ -370,7 +387,6 @@ class VmmcLcp : public lanai::Lcp {
     std::uint32_t fin_value = 0;
   };
   util::Ring<ReadServe> read_serves_;
-  Stats stats_;
 
   // Pipelining machinery.
   struct TxItem {
@@ -400,41 +416,7 @@ class VmmcLcp : public lanai::Lcp {
   std::vector<PeerRx> peer_rx_;
   std::uint32_t retx_in_use_ = 0;
 
-  // Observability (node<N>.lcp.* / node<N>.tlb.*), bound in Run once the
-  // node id is known. The raw Stats struct stays the cheap test-facing
-  // view; the registry is the cross-run, dumpable one.
-  struct Obs {
-    obs::Counter* sends = nullptr;
-    obs::Counter* chunks_sent = nullptr;
-    obs::Counter* bytes_sent = nullptr;
-    obs::Counter* chunks_received = nullptr;
-    obs::Counter* bytes_received = nullptr;
-    obs::Counter* tlb_miss_interrupts = nullptr;
-    obs::Counter* protection_violations = nullptr;
-    obs::Counter* crc_drops = nullptr;
-    obs::Counter* notifications = nullptr;
-    obs::Gauge* send_queue_depth = nullptr;
-    obs::Histo* host_dma_ns = nullptr;   // per-chunk host-DMA phase
-    obs::Histo* translate_ns = nullptr;  // per-chunk source translation
-    obs::Counter* tlb_hits = nullptr;
-    obs::Counter* tlb_misses = nullptr;
-    obs::Counter* tlb_evictions = nullptr;
-    obs::Counter* acks_sent = nullptr;
-    obs::Counter* acks_received = nullptr;
-    obs::Counter* retransmits = nullptr;
-    obs::Counter* retransmit_timeouts = nullptr;
-    obs::Counter* duplicate_chunks = nullptr;
-    obs::Counter* out_of_order_chunks = nullptr;
-    obs::Counter* drop_notices = nullptr;
-    obs::Counter* window_stalls = nullptr;
-    obs::Gauge* retx_in_use = nullptr;
-    obs::Counter* rdma_writes = nullptr;
-    obs::Counter* rdma_reads_served = nullptr;
-    int track = -1;  // "node<N>.lcp" span track
-  };
-  void BindObs();
   void UpdateQueueDepth();
-  Obs obs_;
 
   bool running_ = false;
 };

@@ -69,24 +69,18 @@ class P2pChannel {
   // pending source registration (rendezvous zero-copy sends only).
   sim::Task<Status> Flush();
 
-  struct Stats {
-    std::uint64_t eager_sends = 0;
-    std::uint64_t rendezvous_sends = 0;
-    std::uint64_t eager_recvs = 0;
-    std::uint64_t rendezvous_recvs = 0;
-    std::uint64_t bytes_sent = 0;
-    std::uint64_t bytes_received = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
-  P2pChannel(Endpoint& ep, int peer, std::string tag, P2pParams params)
+  // Create binds the node's protocol counters and hands them in.
+  P2pChannel(Endpoint& ep, int peer, std::string tag, P2pParams params,
+             obs::Counter& eager_sends, obs::Counter& rendezvous_sends)
       : ep_(ep),
         peer_(peer),
         tag_(std::move(tag)),
         params_(params),
         ack_wait_(ep.machine().kernel().simulator(), params.poll),
-        recv_wait_(ep.machine().kernel().simulator(), params.poll) {}
+        recv_wait_(ep.machine().kernel().simulator(), params.poll),
+        eager_sends_(eager_sends),
+        rendezvous_sends_(rendezvous_sends) {}
 
   // Slot geometry. kKindEager payloads use [0, eager_cap); the RTS is a
   // 12-byte record {u32 rtag, u64 region offset} in the same area.
@@ -138,9 +132,9 @@ class P2pChannel {
   host::SpinWait ack_wait_;
   host::SpinWait recv_wait_;
 
-  Stats stats_;
-  obs::Counter* eager_sends_m_ = nullptr;
-  obs::Counter* rdv_sends_m_ = nullptr;
+  // Sends by protocol, per node: node<N>.p2p.{eager,rendezvous}_sends.
+  obs::Counter& eager_sends_;
+  obs::Counter& rendezvous_sends_;
 };
 
 }  // namespace vmmc::vmmc_core

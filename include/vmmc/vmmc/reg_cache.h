@@ -53,7 +53,8 @@ struct MemRegion {
 class RegCache {
  public:
   // `state` is the process's NIC-side state (for the TLB prefill);
-  // `sim`/`node` bind the node<N>.regcache.* metrics.
+  // `sim`/`node` bind the node<N>.regcache.* metrics, which every process
+  // on the node counts into.
   RegCache(const Params& params, host::UserProcess& process, VmmcLcp& lcp,
            ProcState& state, sim::Simulator& sim, int node);
   ~RegCache();
@@ -83,9 +84,10 @@ class RegCache {
   void InvalidateRange(mem::VirtAddr va, std::uint64_t len);
 
   std::uint64_t pinned_bytes() const { return pinned_bytes_; }
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t evictions() const { return evictions_; }
+  // node<N>.regcache.{hit,miss,evict}: the node's totals.
+  std::uint64_t hits() const { return hits_.value(); }
+  std::uint64_t misses() const { return misses_.value(); }
+  std::uint64_t evictions() const { return evictions_.value(); }
   std::size_t entry_count() const { return by_key_.size(); }
 
  private:
@@ -137,6 +139,7 @@ class RegCache {
   host::UserProcess& process_;
   VmmcLcp& lcp_;
   ProcState& state_;
+  sim::Simulator& sim_;  // for the gauge timestamps
 
   std::unordered_map<Key, std::unique_ptr<Entry>, KeyHash> by_key_;
   std::unordered_map<std::uint64_t, Entry*> by_id_;
@@ -145,14 +148,10 @@ class RegCache {
   Entry* lru_tail_ = nullptr;
   std::uint64_t pinned_bytes_ = 0;
 
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  obs::Counter* hit_m_ = nullptr;
-  obs::Counter* miss_m_ = nullptr;
-  obs::Counter* evict_m_ = nullptr;
-  obs::Gauge* pinned_m_ = nullptr;
-  sim::Simulator* sim_ = nullptr;  // for the gauge timestamps
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& evictions_;
+  obs::Gauge& pinned_gauge_;  // node<N>.regcache.pinned_bytes
 };
 
 }  // namespace vmmc::vmmc_core

@@ -14,15 +14,17 @@ namespace vmmc::vmmc_core {
 
 class SwTlb {
  public:
-  // `total_entries` must be a multiple of `ways`.
-  SwTlb(std::uint32_t total_entries, std::uint32_t ways);
+  // Where hit/miss/eviction accounting goes: the owner's registry
+  // counters (node<N>.tlb.{hit,miss,eviction} in a cluster, shared by
+  // every process on the NIC).
+  struct Counters {
+    obs::Counter& hits;
+    obs::Counter& misses;
+    obs::Counter& evictions;
+  };
 
-  // Points hit/miss/eviction accounting at registry counters (typically
-  // node<N>.tlb.{hit,miss,eviction}, shared by every process on the NIC).
-  // Unbound TLBs count into internal sinks, so the hot path never
-  // branches on whether metrics are wired.
-  void BindMetrics(obs::Counter* hits, obs::Counter* misses,
-                   obs::Counter* evictions);
+  // `total_entries` must be a multiple of `ways`.
+  SwTlb(std::uint32_t total_entries, std::uint32_t ways, Counters counters);
 
   std::uint32_t capacity() const {
     return static_cast<std::uint32_t>(sets_.size());
@@ -40,9 +42,9 @@ class SwTlb {
   void Invalidate(mem::Vpn vpn);
   void InvalidateAll();
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t hits() const { return counters_.hits.value(); }
+  std::uint64_t misses() const { return counters_.misses.value(); }
+  std::uint64_t evictions() const { return counters_.evictions.value(); }
   std::uint32_t valid_entries() const;
 
  private:
@@ -60,12 +62,7 @@ class SwTlb {
   std::uint32_t ways_;
   std::vector<Way> sets_;  // num_sets * ways, flattened
   std::uint64_t clock_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  obs::Counter* hits_m_;
-  obs::Counter* misses_m_;
-  obs::Counter* evictions_m_;
+  Counters counters_;
 };
 
 }  // namespace vmmc::vmmc_core

@@ -85,7 +85,10 @@ class RpcClient {
       : params_(params),
         sim_(sim),
         transport_(std::move(transport)),
-        fast_path_(fast_path) {}
+        fast_path_(fast_path),
+        calls_(sim.metrics().GetCounter("vrpc.client.calls")),
+        rtt_us_(sim.metrics().GetHisto("vrpc.client.rtt_us")),
+        track_(sim.tracer().RegisterTrack("vrpc.client")) {}
 
   // One remote procedure call; returns the XDR-encoded results.
   sim::Task<Result<std::vector<std::uint8_t>>> Call(
@@ -99,11 +102,11 @@ class RpcClient {
   bool fast_path_;
   std::uint32_t next_xid_ = 1;
 
-  // Round-trip accounting (vrpc.client.*); overlapping calls show up as
-  // async spans keyed by xid. Bound lazily on the first Call.
-  obs::Counter* calls_m_ = nullptr;
-  obs::Histo* rtt_us_m_ = nullptr;
-  int track_ = -1;
+  // Round-trip accounting (vrpc.client.*), shared by every client of the
+  // simulator; overlapping calls show up as async spans keyed by xid.
+  obs::Counter& calls_;
+  obs::Histo& rtt_us_;
+  int track_;
 };
 
 }  // namespace vmmc::vrpc

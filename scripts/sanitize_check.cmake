@@ -5,8 +5,12 @@
 # Defaults cover the tests that exercise the event-node pool, InlineFn
 # storage, the placed-event queue, the intrusive write-watch list, the
 # Buffer ref-count/pool code and the simulated memory (one mapping per
-# node, the run page table) most heavily under ASan + UBSan. None of them
-# boots a VMMC cluster, whose teardown leaks suspended coroutine frames.
+# node, the run page table) most heavily under ASan + UBSan, plus the unit
+# tests of the components that hold registry counters by reference:
+# vmmc_unit_test (software TLB, page tables, wire format) and myrinet_test
+# (links, switches, fabric, CRC). None of them boots a VMMC cluster, whose
+# teardown leaks suspended coroutine frames; lanai_test stays out for that
+# reason (NicTest.EchoLcpRoundTrip leaves its LCP frame parked).
 
 if(NOT VMMC_SRC OR NOT VMMC_BIN)
   message(FATAL_ERROR "usage: cmake -DVMMC_SRC=<src> -DVMMC_BIN=<bin> -P sanitize_check.cmake")
@@ -17,7 +21,7 @@ if(NOT VMMC_SAN)
 endif()
 if(NOT VMMC_TESTS)
   set(VMMC_TESTS sim_test sim_determinism_test spin_wait_test task_test
-      topology_test buffer_test mem_test)
+      topology_test buffer_test mem_test vmmc_unit_test myrinet_test)
 endif()
 
 set(_tests ${VMMC_TESTS})

@@ -114,20 +114,6 @@ sim::Task<Status> Communicator::RecvFrom(int peer,
   co_return co_await channels_.find(peer)->second->Recv(out);
 }
 
-vmmc_core::P2pChannel::Stats Communicator::p2p_stats() const {
-  vmmc_core::P2pChannel::Stats total;
-  for (const auto& [peer, ch] : channels_) {
-    const auto& s = ch->stats();
-    total.eager_sends += s.eager_sends;
-    total.rendezvous_sends += s.rendezvous_sends;
-    total.eager_recvs += s.eager_recvs;
-    total.rendezvous_recvs += s.rendezvous_recvs;
-    total.bytes_sent += s.bytes_sent;
-    total.bytes_received += s.bytes_received;
-  }
-  return total;
-}
-
 sim::Task<Status> Communicator::Barrier() {
   // Dissemination barrier: ceil(log2 size) rounds; in round r, rank sends
   // to (rank + 2^r) and waits for (rank - 2^r).

@@ -10,36 +10,28 @@
 namespace vmmc::myrinet {
 
 namespace {
-// Sinks for links constructed outside a Fabric (unit tests), so Send
-// never branches on whether metrics are bound.
-obs::Counter g_unbound_packets;
-obs::Counter g_unbound_bytes;
-obs::Counter g_unbound_ser;
-obs::Counter g_unbound_blocked;
+// fabric.<kind><id>.<leaf>, e.g. fabric.link3.ser_ns.
+obs::Counter& FabricCounter(sim::Simulator& sim, const char* kind, int id,
+                            const char* leaf) {
+  return sim.metrics().GetCounter("fabric." + std::string(kind) +
+                                  std::to_string(id) + "." + leaf);
+}
 }  // namespace
 
-Link::Link(sim::Simulator& sim, const NetParams& params)
+Link::Link(sim::Simulator& sim, const NetParams& params, int id)
     : sim_(sim),
       params_(params),
-      packets_m_(&g_unbound_packets),
-      bytes_m_(&g_unbound_bytes),
-      ser_ns_m_(&g_unbound_ser),
-      blocked_ns_m_(&g_unbound_blocked) {}
-
-void Link::BindMetrics(obs::Counter* packets, obs::Counter* bytes,
-                       obs::Counter* ser_ns, obs::Counter* blocked_ns) {
-  packets_m_ = packets != nullptr ? packets : &g_unbound_packets;
-  bytes_m_ = bytes != nullptr ? bytes : &g_unbound_bytes;
-  ser_ns_m_ = ser_ns != nullptr ? ser_ns : &g_unbound_ser;
-  blocked_ns_m_ = blocked_ns != nullptr ? blocked_ns : &g_unbound_blocked;
+      packets_(FabricCounter(sim, "link", id, "packets")),
+      bytes_(FabricCounter(sim, "link", id, "bytes")),
+      ser_ns_(FabricCounter(sim, "link", id, "ser_ns")),
+      blocked_ns_(FabricCounter(sim, "link", id, "blocked_ns")) {
+  site_.link_id = id;
 }
 
 void Link::Send(Packet packet) {
   assert(dst_ != nullptr && "link not wired");
-  ++packets_;
-  bytes_ += packet.wire_bytes();
-  packets_m_->Inc();
-  bytes_m_->Inc(packet.wire_bytes());
+  packets_.Inc();
+  bytes_.Inc(packet.wire_bytes());
 
   // Planned fault injection (sim/fault.h): bit flips, wire drops and
   // delivery jitter, decided per packet from the injector's own seeded
@@ -52,12 +44,9 @@ void Link::Send(Packet packet) {
 
   // Blocked time: how long the packet waited for the wire to free up.
   const sim::Tick start = std::max(sim_.now(), busy_until_);
-  const sim::Tick blocked = start - sim_.now();
-  blocked_ += blocked;
-  blocked_ns_m_->Inc(static_cast<std::uint64_t>(blocked));
+  blocked_ns_.Inc(static_cast<std::uint64_t>(start - sim_.now()));
   const sim::Tick ser = sim::NsForBytes(packet.wire_bytes(), params_.link_mb_s);
-  ser_ += ser;
-  ser_ns_m_->Inc(static_cast<std::uint64_t>(ser));
+  ser_ns_.Inc(static_cast<std::uint64_t>(ser));
   busy_until_ = start + ser;
   // A dropped packet occupied the wire but its tail never arrives anywhere;
   // recovery is the sender's retransmission timeout, exactly as for a real
@@ -76,7 +65,12 @@ Switch::Switch(sim::Simulator& sim, const NetParams& params, int id,
       params_(params),
       id_(id),
       out_links_(static_cast<std::size_t>(num_ports), nullptr),
-      ports_(static_cast<std::size_t>(num_ports)) {
+      ports_(static_cast<std::size_t>(num_ports)),
+      forwarded_(FabricCounter(sim, "switch", id, "forwarded")),
+      dropped_(FabricCounter(sim, "switch", id, "dropped")),
+      queue_wait_ns_(FabricCounter(sim, "switch", id, "queue_wait_ns")),
+      hol_stalls_(FabricCounter(sim, "switch", id, "hol_stalls")),
+      hol_stall_ns_(FabricCounter(sim, "switch", id, "hol_stall_ns")) {
   if (params.switch_port_queue_bytes == 0) {
     std::fprintf(stderr, "switch %d: switch_port_queue_bytes must be > 0\n",
                  id);
@@ -86,8 +80,7 @@ Switch::Switch(sim::Simulator& sim, const NetParams& params, int id,
 
 void Switch::OnPacket(Packet packet, sim::Tick tail_time, Link* from) {
   if (packet.route.empty()) {
-    ++dropped_;
-    if (dropped_m_ != nullptr) dropped_m_->Inc();
+    dropped_.Inc();
     VMMC_LOG(kWarn, "switch") << "switch " << id_ << ": packet with empty route dropped";
     if (drop_handler_) drop_handler_(std::move(packet));
     return;
@@ -95,15 +88,13 @@ void Switch::OnPacket(Packet packet, sim::Tick tail_time, Link* from) {
   const int port = packet.route[0];
   packet.route.PopFront();
   if (port >= num_ports() || out_links_[static_cast<std::size_t>(port)] == nullptr) {
-    ++dropped_;
-    if (dropped_m_ != nullptr) dropped_m_->Inc();
+    dropped_.Inc();
     VMMC_LOG(kWarn, "switch") << "switch " << id_ << ": invalid output port "
                               << port << ", packet dropped";
     if (drop_handler_) drop_handler_(std::move(packet));
     return;
   }
-  ++forwarded_;
-  if (forwarded_m_ != nullptr) forwarded_m_->Inc();
+  forwarded_.Inc();
   // Cut-through: the head reaches the output port after the switch
   // latency; tail_time of this hop is implicit (the downstream link
   // recomputes serialization).
@@ -147,15 +138,10 @@ void Switch::Stall(Link* from, int port) {
   // No buffer space: wormhole backpressure. The packet cannot leave its
   // inbound wire, which stays occupied — stalling everything behind it
   // (head-of-line blocking) — until the contended output frees up.
-  ++hol_stalls_;
-  if (hol_stalls_m_ != nullptr) hol_stalls_m_->Inc();
+  hol_stalls_.Inc();
   const Link* out = out_links_[static_cast<std::size_t>(port)];
   const sim::Tick retry = std::max(out->busy_until(), sim_.now() + 1);
-  const sim::Tick stalled = retry - sim_.now();
-  hol_stall_ += stalled;
-  if (hol_stall_ns_m_ != nullptr) {
-    hol_stall_ns_m_->Inc(static_cast<std::uint64_t>(stalled));
-  }
+  hol_stall_ns_.Inc(static_cast<std::uint64_t>(retry - sim_.now()));
   from->StallUntil(retry);
   sim_.At(retry, [this, from] { Release(from); });
 }
@@ -188,10 +174,7 @@ void Switch::DrainPort(int port) {
   const sim::Tick waited = sim_.now() - op.queue.front().enqueued_at;
   op.queue.pop_front();
   op.bytes -= pkt.wire_bytes();
-  queue_wait_ += waited;
-  if (queue_wait_ns_m_ != nullptr) {
-    queue_wait_ns_m_->Inc(static_cast<std::uint64_t>(waited));
-  }
+  queue_wait_ns_.Inc(static_cast<std::uint64_t>(waited));
   out->Send(std::move(pkt));
   // The wire is now busy until this packet's tail leaves; come back then.
   sim_.At(out->busy_until(), [this, port] { DrainPort(port); });
@@ -201,8 +184,7 @@ void Fabric::NotifyDrop(Packet&& packet) {
   if (packet.src_nic < 0 || packet.src_nic >= num_nics()) return;
   Endpoint* src = nics_[static_cast<std::size_t>(packet.src_nic)].endpoint;
   if (src == nullptr) return;
-  ++drop_notices_;
-  sim_.metrics().GetCounter("fabric.drop_notices").Inc();
+  drop_notices_.Inc();
   // Through the event queue: the switch is mid-OnPacket here, and the
   // notice models an out-of-band backward signal, not a synchronous call
   // into the source NIC.
@@ -210,30 +192,13 @@ void Fabric::NotifyDrop(Packet&& packet) {
 }
 
 Link* Fabric::NewLink() {
-  const std::string prefix =
-      "fabric.link" + std::to_string(links_.size()) + ".";
-  links_.push_back(std::make_unique<Link>(sim_, params_));
-  sim::LinkSite site;
-  site.link_id = static_cast<int>(links_.size()) - 1;
-  links_.back()->set_site(site);
-  obs::Registry& m = sim_.metrics();
-  links_.back()->BindMetrics(&m.GetCounter(prefix + "packets"),
-                             &m.GetCounter(prefix + "bytes"),
-                             &m.GetCounter(prefix + "ser_ns"),
-                             &m.GetCounter(prefix + "blocked_ns"));
+  links_.push_back(std::make_unique<Link>(sim_, params_, num_links()));
   return links_.back().get();
 }
 
 int Fabric::AddSwitch(int num_ports) {
   const int id = num_switches();
   switches_.push_back(std::make_unique<Switch>(sim_, params_, id, num_ports));
-  const std::string prefix = "fabric.switch" + std::to_string(id) + ".";
-  obs::Registry& m = sim_.metrics();
-  switches_.back()->BindMetrics(&m.GetCounter(prefix + "forwarded"),
-                                &m.GetCounter(prefix + "dropped"),
-                                &m.GetCounter(prefix + "queue_wait_ns"),
-                                &m.GetCounter(prefix + "hol_stalls"),
-                                &m.GetCounter(prefix + "hol_stall_ns"));
   switches_.back()->set_drop_handler(
       [this](Packet&& pkt) { NotifyDrop(std::move(pkt)); });
   return id;

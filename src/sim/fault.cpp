@@ -4,18 +4,19 @@
 
 namespace vmmc::sim {
 
+FaultInjector::FaultInjector(const Tick* now, obs::Registry& metrics)
+    : now_(now),
+      bitflips_(metrics.GetCounter("fault.injected.bitflips")),
+      drops_(metrics.GetCounter("fault.injected.drops")),
+      delays_(metrics.GetCounter("fault.injected.delays")),
+      delay_ns_(metrics.GetCounter("fault.injected.delay_ns")),
+      dma_stalls_(metrics.GetCounter("fault.injected.dma_stalls")),
+      dma_stall_ns_(metrics.GetCounter("fault.injected.dma_stall_ns")) {}
+
 void FaultInjector::Configure(FaultPlan plan) {
   plan_ = std::move(plan);
   rng_.Seed(plan_.seed);
   active_ = !plan_.empty();
-  if (active_ && metrics_ != nullptr && bitflips_m_ == nullptr) {
-    bitflips_m_ = &metrics_->GetCounter("fault.injected.bitflips");
-    drops_m_ = &metrics_->GetCounter("fault.injected.drops");
-    delays_m_ = &metrics_->GetCounter("fault.injected.delays");
-    delay_ns_m_ = &metrics_->GetCounter("fault.injected.delay_ns");
-    dma_stalls_m_ = &metrics_->GetCounter("fault.injected.dma_stalls");
-    dma_stall_ns_m_ = &metrics_->GetCounter("fault.injected.dma_stall_ns");
-  }
 }
 
 FaultInjector::LinkVerdict FaultInjector::OnLinkTransmit(
@@ -32,7 +33,7 @@ FaultInjector::LinkVerdict FaultInjector::OnLinkTransmit(
     // of the Rng stream self-describing.
     if (rule.drop_rate > 0.0 && rng_.Bernoulli(rule.drop_rate)) {
       verdict.drop = true;
-      drops_m_->Inc();
+      drops_.Inc();
       return verdict;
     }
     if (rule.bitflip_rate > 0.0 && !payload.empty() &&
@@ -44,15 +45,15 @@ FaultInjector::LinkVerdict FaultInjector::OnLinkTransmit(
       payload.MutableData()[i] ^=
           static_cast<std::uint8_t>(1u << rng_.UniformU64(8));
       verdict.corrupted = true;
-      bitflips_m_->Inc();
+      bitflips_.Inc();
     }
     if (rule.delay_rate > 0.0 && rule.max_delay > 0 &&
         rng_.Bernoulli(rule.delay_rate)) {
       const Tick jitter = 1 + static_cast<Tick>(rng_.UniformU64(
                                   static_cast<std::uint64_t>(rule.max_delay)));
       verdict.extra_delay += jitter;
-      delays_m_->Inc();
-      delay_ns_m_->Inc(static_cast<std::uint64_t>(jitter));
+      delays_.Inc();
+      delay_ns_.Inc(static_cast<std::uint64_t>(jitter));
     }
   }
   return verdict;
@@ -78,8 +79,8 @@ Tick FaultInjector::DmaStallDelay(int node_id) {
   }
   const Tick wait = until - now;
   if (wait > 0) {
-    dma_stalls_m_->Inc();
-    dma_stall_ns_m_->Inc(static_cast<std::uint64_t>(wait));
+    dma_stalls_.Inc();
+    dma_stall_ns_.Inc(static_cast<std::uint64_t>(wait));
   }
   return wait;
 }

@@ -4,6 +4,14 @@
 
 namespace vmmc::vmmc_core {
 
+namespace {
+obs::Counter& HostCounter(host::Machine& machine, VmmcDaemon& daemon,
+                          const char* leaf) {
+  return machine.kernel().simulator().metrics().GetCounter(
+      "node" + std::to_string(daemon.node_id()) + ".host." + leaf);
+}
+}  // namespace
+
 Endpoint::Endpoint(const Params& params, host::Machine& machine, VmmcLcp& lcp,
                    VmmcDriver& driver, VmmcDaemon& daemon,
                    host::UserProcess& process)
@@ -12,7 +20,9 @@ Endpoint::Endpoint(const Params& params, host::Machine& machine, VmmcLcp& lcp,
       lcp_(&lcp),
       driver_(&driver),
       daemon_(&daemon),
-      process_(&process) {}
+      process_(&process),
+      send_posts_(HostCounter(machine, daemon, "send_posts")),
+      pio_post_ns_(HostCounter(machine, daemon, "pio_post_ns")) {}
 
 Result<std::unique_ptr<Endpoint>> Endpoint::Open(
     const Params& params, host::Machine& machine, VmmcLcp& lcp,
@@ -43,11 +53,6 @@ Result<std::unique_ptr<Endpoint>> Endpoint::Open(
   for (std::uint32_t i = 0; i < entries; ++i) ep->free_slots_.push_back(i);
   ep->slot_tokens_ = std::make_unique<sim::Semaphore>(
       machine.kernel().simulator(), entries);
-
-  const std::string node = "node" + std::to_string(daemon.node_id());
-  obs::Registry& m = machine.kernel().simulator().metrics();
-  ep->send_posts_m_ = &m.GetCounter(node + ".host.send_posts");
-  ep->pio_post_ns_m_ = &m.GetCounter(node + ".host.pio_post_ns");
 
   // Registration cache for one-sided RDMA. The address-space release
   // listener cannot be unsubscribed, so it holds a weak reference that
@@ -206,11 +211,9 @@ sim::Task<Result<SendHandle>> Endpoint::SendMsgAsync(mem::VirtAddr src,
   // size (§4.5).
   const int words = short_send ? 4 + static_cast<int>((len + 3) / 4) : 6;
   co_await machine_->pci().PioWrite(words);
-  if (send_posts_m_ != nullptr) {
-    send_posts_m_->Inc();
-    pio_post_ns_m_->Inc(
-        static_cast<std::uint64_t>(machine_->pci().PioWriteCost(words)));
-  }
+  send_posts_.Inc();
+  pio_post_ns_.Inc(
+      static_cast<std::uint64_t>(machine_->pci().PioWriteCost(words)));
 
   Status posted = lcp_->PostSend(*state_, std::move(req));
   if (!posted.ok()) {
@@ -325,11 +328,9 @@ sim::Task<Result<SendHandle>> Endpoint::PostOneSided(SendRequest req) {
   // extension words: destination node, rtag, 64-bit offset, fin triple.
   const int words = 12;
   co_await machine_->pci().PioWrite(words);
-  if (send_posts_m_ != nullptr) {
-    send_posts_m_->Inc();
-    pio_post_ns_m_->Inc(
-        static_cast<std::uint64_t>(machine_->pci().PioWriteCost(words)));
-  }
+  send_posts_.Inc();
+  pio_post_ns_.Inc(
+      static_cast<std::uint64_t>(machine_->pci().PioWriteCost(words)));
 
   Status posted = lcp_->PostSend(*state_, std::move(req));
   if (!posted.ok()) {

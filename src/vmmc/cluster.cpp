@@ -164,7 +164,8 @@ Status Cluster::Boot() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& n = nodes_[i];
     n.routes = jobs[i].routes;
-    auto lcp = std::make_unique<VmmcLcp>(params_, n.routes);
+    auto lcp = std::make_unique<VmmcLcp>(sim_, params_, static_cast<int>(i),
+                                         n.routes);
     n.lcp = lcp.get();
     n.nic->LoadLcp(std::move(lcp));
   }

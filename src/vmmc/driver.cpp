@@ -1,27 +1,39 @@
 #include "vmmc/vmmc/driver.h"
 
+#include <cassert>
 #include <string>
 #include <utility>
 
 namespace vmmc::vmmc_core {
 
-void VmmcDriver::EnsureObs() {
-  if (track_ >= 0 || nic_.nic_id() < 0) return;
-  const std::string node = "node" + std::to_string(nic_.nic_id());
-  obs::Registry& m = kernel_.simulator().metrics();
-  tlb_fills_m_ = &m.GetCounter(node + ".driver.tlb_fills");
-  pages_pinned_m_ = &m.GetCounter(node + ".driver.pages_pinned");
-  notifications_m_ = &m.GetCounter(node + ".driver.notifications");
-  track_ = kernel_.simulator().tracer().RegisterTrack(node + ".driver");
+namespace {
+// node<N>.driver, N being the (attached) NIC's id.
+std::string DriverName(const lanai::NicCard& nic) {
+  assert(nic.nic_id() >= 0 && "attach the NIC before building its driver");
+  return "node" + std::to_string(nic.nic_id()) + ".driver";
 }
+
+obs::Counter& DriverCounter(host::Kernel& kernel, const lanai::NicCard& nic,
+                            const char* leaf) {
+  return kernel.simulator().metrics().GetCounter(DriverName(nic) + "." + leaf);
+}
+}  // namespace
+
+VmmcDriver::VmmcDriver(const Params& params, host::Kernel& kernel,
+                       lanai::NicCard& nic, VmmcLcp& lcp)
+    : params_(params),
+      kernel_(kernel),
+      lcp_(lcp),
+      tlb_fills_(DriverCounter(kernel, nic, "tlb_fills")),
+      pages_pinned_(DriverCounter(kernel, nic, "pages_pinned")),
+      notifications_(DriverCounter(kernel, nic, "notifications")),
+      track_(kernel.simulator().tracer().RegisterTrack(DriverName(nic))) {}
 
 sim::Process VmmcDriver::HandleInterrupt() {
   // The kernel already charged the interrupt-entry cost; this is the
   // driver's own work.
   sim::Simulator& sim = kernel_.simulator();
-  EnsureObs();
-  auto span = track_ >= 0 ? sim.tracer().Scope(track_, "irq")
-                          : obs::Tracer::Span();
+  auto span = sim.tracer().Scope(track_, "irq");
   co_await sim.Delay(1000);  // dispatch, read LCP service registers
 
   // --- TLB-miss service (§4.5) ---
@@ -40,15 +52,13 @@ sim::Process VmmcDriver::HandleInterrupt() {
         if (!as.Translate(va).ok()) break;  // ran past the mapped region
         if (!as.TranslatePinned(va).ok()) {
           if (!kernel_.PinUserPages(*proc, va, 1).ok()) break;
-          ++pages_pinned_;
-          if (pages_pinned_m_ != nullptr) pages_pinned_m_->Inc();
+          pages_pinned_.Inc();
         }
         fills.emplace_back(vpn + i, mem::PageNumber(as.Translate(va).value()));
         co_await sim.Delay(300);  // per-page walk + lock
       }
     }
-    ++tlb_fills_;
-    if (tlb_fills_m_ != nullptr) tlb_fills_m_->Inc();
+    tlb_fills_.Inc();
     // Wake the LANai whether or not we found translations; an empty fill
     // makes it fail the send with kBadAddress.
     lcp_.CompleteTlbFill(pid, fills);
@@ -57,8 +67,7 @@ sim::Process VmmcDriver::HandleInterrupt() {
   // --- notification delivery (§5.1: signals) ---
   while (auto n = lcp_.PopNotification()) {
     pending_[n->pid].push_back(UserNotification{n->export_id, n->msg_len});
-    ++notifications_delivered_;
-    if (notifications_m_ != nullptr) notifications_m_->Inc();
+    notifications_.Inc();
     co_await sim.Delay(500);  // queue management
     (void)kernel_.PostSignal(n->pid, host::kSigVmmcNotify);
   }

@@ -10,20 +10,12 @@ namespace vmmc::vmmc_core {
 
 using mem::kPageSize;
 
-namespace {
-// Sinks used until Run binds the registry (and forever for an LCP that is
-// constructed but never booted), so the counting paths never branch.
-obs::Counter g_unbound_counter;
-obs::Gauge g_unbound_gauge;
-obs::Histo g_unbound_histo;
-}  // namespace
-
 ProcState::ProcState(sim::Simulator& sim, const VmmcParams& params,
-                     host::UserProcess& process)
+                     host::UserProcess& process, SwTlb::Counters tlb_counters)
     : tlb_filled(sim),
       process_(&process),
       outgoing_(params.outgoing_pt_pages),
-      tlb_(params.tlb_total_entries, params.tlb_ways),
+      tlb_(params.tlb_total_entries, params.tlb_ways, tlb_counters),
       queue_slots_(sim, params.send_queue_entries) {
   completion_events.reserve(params.send_queue_entries);
   for (std::uint32_t i = 0; i < params.send_queue_entries; ++i) {
@@ -31,65 +23,49 @@ ProcState::ProcState(sim::Simulator& sim, const VmmcParams& params,
   }
 }
 
-VmmcLcp::VmmcLcp(const Params& params, RouteTable routes)
-    : params_(params), routes_(std::move(routes)) {
-  obs_.sends = &g_unbound_counter;
-  obs_.chunks_sent = &g_unbound_counter;
-  obs_.bytes_sent = &g_unbound_counter;
-  obs_.chunks_received = &g_unbound_counter;
-  obs_.bytes_received = &g_unbound_counter;
-  obs_.tlb_miss_interrupts = &g_unbound_counter;
-  obs_.protection_violations = &g_unbound_counter;
-  obs_.crc_drops = &g_unbound_counter;
-  obs_.notifications = &g_unbound_counter;
-  obs_.send_queue_depth = &g_unbound_gauge;
-  obs_.host_dma_ns = &g_unbound_histo;
-  obs_.translate_ns = &g_unbound_histo;
-  obs_.acks_sent = &g_unbound_counter;
-  obs_.acks_received = &g_unbound_counter;
-  obs_.retransmits = &g_unbound_counter;
-  obs_.retransmit_timeouts = &g_unbound_counter;
-  obs_.duplicate_chunks = &g_unbound_counter;
-  obs_.out_of_order_chunks = &g_unbound_counter;
-  obs_.drop_notices = &g_unbound_counter;
-  obs_.window_stalls = &g_unbound_counter;
-  obs_.retx_in_use = &g_unbound_gauge;
-  obs_.rdma_writes = &g_unbound_counter;
-  obs_.rdma_reads_served = &g_unbound_counter;
-}
+VmmcLcp::Metrics::Metrics(obs::Registry& m, obs::Tracer& tracer,
+                          const std::string& node)
+    : sends(m.GetCounter(node + ".lcp.sends")),
+      short_sends(m.GetCounter(node + ".lcp.short_sends")),
+      long_sends(m.GetCounter(node + ".lcp.long_sends")),
+      chunks_sent(m.GetCounter(node + ".lcp.chunks_sent")),
+      bytes_sent(m.GetCounter(node + ".lcp.bytes_sent")),
+      chunks_received(m.GetCounter(node + ".lcp.chunks_received")),
+      bytes_received(m.GetCounter(node + ".lcp.bytes_received")),
+      send_errors(m.GetCounter(node + ".lcp.send_errors")),
+      protection_violations(m.GetCounter(node + ".lcp.protection_violations")),
+      crc_drops(m.GetCounter(node + ".lcp.crc_drops")),
+      tlb_miss_interrupts(m.GetCounter(node + ".lcp.tlb_miss_interrupts")),
+      notifications(m.GetCounter(node + ".lcp.notifications")),
+      tight_loop_chunks(m.GetCounter(node + ".lcp.tight_loop_chunks")),
+      main_loop_chunks(m.GetCounter(node + ".lcp.main_loop_chunks")),
+      acks_sent(m.GetCounter(node + ".lcp.acks_sent")),
+      acks_received(m.GetCounter(node + ".lcp.acks_received")),
+      retransmits(m.GetCounter(node + ".lcp.retransmits")),
+      retransmit_timeouts(m.GetCounter(node + ".lcp.retransmit_timeouts")),
+      duplicate_chunks(m.GetCounter(node + ".lcp.duplicate_chunks")),
+      out_of_order_chunks(m.GetCounter(node + ".lcp.out_of_order_chunks")),
+      drop_notices(m.GetCounter(node + ".lcp.drop_notices")),
+      window_stalls(m.GetCounter(node + ".lcp.window_stalls")),
+      rdma_writes(m.GetCounter(node + ".lcp.rdma_writes")),
+      rdma_read_requests(m.GetCounter(node + ".lcp.rdma_read_requests")),
+      rdma_reads_served(m.GetCounter(node + ".lcp.rdma_reads_served")),
+      rdma_fins_sent(m.GetCounter(node + ".lcp.rdma_fins_sent")),
+      tlb{m.GetCounter(node + ".tlb.hit"),
+          m.GetCounter(node + ".tlb.miss"),
+          m.GetCounter(node + ".tlb.eviction")},
+      send_queue_depth(m.GetGauge(node + ".lcp.send_queue_depth")),
+      retx_in_use(m.GetGauge(node + ".lcp.retx_in_use")),
+      host_dma_ns(m.GetHisto(node + ".lcp.host_dma_ns")),
+      translate_ns(m.GetHisto(node + ".lcp.translate_ns")),
+      track(tracer.RegisterTrack(node + ".lcp")) {}
 
-void VmmcLcp::BindObs() {
-  const std::string node = "node" + std::to_string(nic_->nic_id());
-  obs::Registry& m = nic_->simulator().metrics();
-  obs_.sends = &m.GetCounter(node + ".lcp.sends");
-  obs_.chunks_sent = &m.GetCounter(node + ".lcp.chunks_sent");
-  obs_.bytes_sent = &m.GetCounter(node + ".lcp.bytes_sent");
-  obs_.chunks_received = &m.GetCounter(node + ".lcp.chunks_received");
-  obs_.bytes_received = &m.GetCounter(node + ".lcp.bytes_received");
-  obs_.tlb_miss_interrupts = &m.GetCounter(node + ".lcp.tlb_miss_interrupts");
-  obs_.protection_violations =
-      &m.GetCounter(node + ".lcp.protection_violations");
-  obs_.crc_drops = &m.GetCounter(node + ".lcp.crc_drops");
-  obs_.notifications = &m.GetCounter(node + ".lcp.notifications");
-  obs_.send_queue_depth = &m.GetGauge(node + ".lcp.send_queue_depth");
-  obs_.host_dma_ns = &m.GetHisto(node + ".lcp.host_dma_ns");
-  obs_.translate_ns = &m.GetHisto(node + ".lcp.translate_ns");
-  obs_.tlb_hits = &m.GetCounter(node + ".tlb.hit");
-  obs_.tlb_misses = &m.GetCounter(node + ".tlb.miss");
-  obs_.tlb_evictions = &m.GetCounter(node + ".tlb.eviction");
-  obs_.acks_sent = &m.GetCounter(node + ".lcp.acks_sent");
-  obs_.acks_received = &m.GetCounter(node + ".lcp.acks_received");
-  obs_.retransmits = &m.GetCounter(node + ".lcp.retransmits");
-  obs_.retransmit_timeouts = &m.GetCounter(node + ".lcp.retransmit_timeouts");
-  obs_.duplicate_chunks = &m.GetCounter(node + ".lcp.duplicate_chunks");
-  obs_.out_of_order_chunks = &m.GetCounter(node + ".lcp.out_of_order_chunks");
-  obs_.drop_notices = &m.GetCounter(node + ".lcp.drop_notices");
-  obs_.window_stalls = &m.GetCounter(node + ".lcp.window_stalls");
-  obs_.retx_in_use = &m.GetGauge(node + ".lcp.retx_in_use");
-  obs_.rdma_writes = &m.GetCounter(node + ".lcp.rdma_writes");
-  obs_.rdma_reads_served = &m.GetCounter(node + ".lcp.rdma_reads_served");
-  obs_.track = nic_->simulator().tracer().RegisterTrack(node + ".lcp");
-}
+VmmcLcp::VmmcLcp(sim::Simulator& sim, const Params& params, int node_id,
+                 RouteTable routes)
+    : params_(params),
+      routes_(std::move(routes)),
+      metrics_(sim.metrics(), sim.tracer(),
+               "node" + std::to_string(node_id)) {}
 
 // ---------------------------------------------------------------------------
 // Host-visible interface
@@ -121,11 +97,11 @@ Result<ProcState*> VmmcLcp::RegisterProcess(host::UserProcess& process) {
     return tlb.status();
   }
 
-  auto state = std::make_unique<ProcState>(nic_->simulator(), vp, process);
-  state->sram_regions = {queue.value(), opt.value(), tlb.value()};
   // All processes on a node share the node<N>.tlb.* counters: the paper's
   // TLB pressure question is per NIC, not per process.
-  state->tlb().BindMetrics(obs_.tlb_hits, obs_.tlb_misses, obs_.tlb_evictions);
+  auto state =
+      std::make_unique<ProcState>(nic_->simulator(), vp, process, metrics_.tlb);
+  state->sram_regions = {queue.value(), opt.value(), tlb.value()};
   procs_.push_back(std::move(state));
   return procs_.back().get();
 }
@@ -174,8 +150,8 @@ Status VmmcLcp::PostSend(ProcState& proc, SendRequest request) {
 void VmmcLcp::UpdateQueueDepth() {
   std::size_t depth = 0;
   for (const auto& p : procs_) depth += p->send_queue().size();
-  obs_.send_queue_depth->Set(nic_->simulator().now(),
-                             static_cast<double>(depth));
+  metrics_.send_queue_depth.Set(nic_->simulator().now(),
+                                static_cast<double>(depth));
 }
 
 std::optional<std::pair<int, mem::Vpn>> VmmcLcp::TakePendingTlbMiss() {
@@ -292,7 +268,6 @@ Result<VmmcLcp::RtagTarget> VmmcLcp::ResolveRtag(std::uint32_t rtag,
 
 sim::Process VmmcLcp::Run(lanai::NicCard& nic) {
   nic_ = &nic;
-  BindObs();
   // Code + global data + staging buffers; capacity pressure for §6.
   auto reserved = nic.sram().Allocate("lcp-code+staging",
                                       params_.lanai.lcp_reserved_bytes);
@@ -407,7 +382,7 @@ void VmmcLcp::WriteCompletion(ProcState& proc, std::uint32_t slot,
         proc.completion_base + slot * 4, static_cast<std::uint32_t>(status));
   }
   proc.completion_events[slot]->Set();
-  if (status != SendStatus::kDone) ++stats_.send_errors;
+  if (status != SendStatus::kDone) metrics_.send_errors.Inc();
 }
 
 // ---------------------------------------------------------------------------
@@ -443,18 +418,15 @@ sim::Task<Result<mem::Pfn>> VmmcLcp::TranslateSrc(lanai::NicCard& nic,
     co_await nic.cpu().Exec(params_.lanai.tlb_lookup);
     mem::Pfn pfn = 0;
     if (proc.tlb().Lookup(vpn, &pfn)) {
-      obs_.translate_ns->Observe(
+      metrics_.translate_ns.Observe(
           static_cast<double>(nic.simulator().now() - t0));
       co_return pfn;
     }
     if (attempt == 1) break;
     // Miss: interrupt the host; the driver pins the pages and inserts up
     // to 32 translations (§4.5), then wakes us.
-    ++stats_.tlb_miss_interrupts;
-    obs_.tlb_miss_interrupts->Inc();
-    auto miss_span = obs_.track >= 0
-                         ? nic.simulator().tracer().Scope(obs_.track, "tlb_miss")
-                         : obs::Tracer::Span();
+    metrics_.tlb_miss_interrupts.Inc();
+    auto miss_span = nic.simulator().tracer().Scope(metrics_.track, "tlb_miss");
     proc.pending_miss = vpn;
     proc.tlb_filled.Reset();
     co_await nic.cpu().Exec(params_.lanai.raise_interrupt);
@@ -462,14 +434,14 @@ sim::Task<Result<mem::Pfn>> VmmcLcp::TranslateSrc(lanai::NicCard& nic,
     co_await proc.tlb_filled.Wait();
   }
   // The driver could not translate: the source page is not mapped.
-  obs_.translate_ns->Observe(static_cast<double>(nic.simulator().now() - t0));
+  metrics_.translate_ns.Observe(
+      static_cast<double>(nic.simulator().now() - t0));
   co_return Result<mem::Pfn>(NotFound("source page unmapped"));
 }
 
 sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
                                 SendRequest req) {
-  ++stats_.sends_processed;
-  obs_.sends->Inc();
+  metrics_.sends.Inc();
   if (req.len == 0 || req.len > params_.vmmc.max_send_bytes) {
     FinishRequest(proc, req.slot, SendStatus::kBadLength);
     co_return;
@@ -481,12 +453,11 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
       FinishRequest(proc, req.slot, SendStatus::kBadProxy);
       co_return;
     }
-    ++stats_.rdma_read_requests;
+    metrics_.rdma_read_requests.Inc();
     if (WindowOpen(dst_node)) {
       co_await SendReadRequest(nic, proc, req);
     } else {
-      ++stats_.window_stalls;
-      obs_.window_stalls->Inc();
+      metrics_.window_stalls.Inc();
       proc.active = ProcState::ActiveLongSend{std::move(req), 0, true, dst_node};
     }
     co_return;
@@ -501,9 +472,8 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
       FinishRequest(proc, req.slot, SendStatus::kBadProxy);
       co_return;
     }
-    ++stats_.rdma_writes;
-    obs_.rdma_writes->Inc();
-    ++stats_.long_sends;
+    metrics_.rdma_writes.Inc();
+    metrics_.long_sends.Inc();
     proc.active = ProcState::ActiveLongSend{std::move(req), 0, true, dst_node};
     co_return;
   }
@@ -514,8 +484,7 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
       std::min<std::uint64_t>(req.len, kPageSize - ProxyOffset(req.proxy)));
   auto first_target = ResolveChunkTarget(proc, req.proxy, first_len, &dst_node);
   if (!first_target.ok()) {
-    ++stats_.protection_violations;
-    obs_.protection_violations->Inc();
+    metrics_.protection_violations.Inc();
     FinishRequest(proc, req.slot, SendStatus::kBadProxy);
     co_return;
   }
@@ -531,22 +500,19 @@ sim::Process VmmcLcp::StartSend(lanai::NicCard& nic, ProcState& proc,
       // Window to the destination is closed: park the short send as a
       // degenerate active send; SendOneChunk dispatches it once an ACK
       // reopens the window.
-      ++stats_.window_stalls;
-      obs_.window_stalls->Inc();
+      metrics_.window_stalls.Inc();
       proc.active = ProcState::ActiveLongSend{std::move(req), 0, true, dst_node};
     }
     co_return;
   }
-  ++stats_.long_sends;
+  metrics_.long_sends.Inc();
   proc.active = ProcState::ActiveLongSend{std::move(req), 0, true, dst_node};
 }
 
 sim::Process VmmcLcp::HandleShortSend(lanai::NicCard& nic, ProcState& proc,
                                       SendRequest& req) {
-  ++stats_.short_sends;
-  auto span = obs_.track >= 0
-                  ? nic.simulator().tracer().Scope(obs_.track, "short_send")
-                  : obs::Tracer::Span();
+  metrics_.short_sends.Inc();
+  auto span = nic.simulator().tracer().Scope(metrics_.track, "short_send");
   std::uint32_t dst_node = 0;
   auto target = ResolveChunkTarget(proc, req.proxy, req.len, &dst_node);
   assert(target.ok());  // validated by StartSend
@@ -603,9 +569,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
     proc.active.reset();
     co_return;
   }
-  auto span = obs_.track >= 0
-                  ? nic.simulator().tracer().Scope(obs_.track, "chunk")
-                  : obs::Tracer::Span();
+  auto span = nic.simulator().tracer().Scope(metrics_.track, "chunk");
   ProcState::ActiveLongSend& as = *proc.active;
   const SendRequest& req = as.req;
 
@@ -628,9 +592,9 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   co_await nic.cpu().Exec(params_.lanai.chunk_overhead +
                           (tight ? 0 : params_.lanai.main_loop_extra));
   if (tight) {
-    ++stats_.tight_loop_chunks;
+    metrics_.tight_loop_chunks.Inc();
   } else {
-    ++stats_.main_loop_chunks;
+    metrics_.main_loop_chunks.Inc();
   }
 
   // Source translation through the per-process software TLB.
@@ -654,8 +618,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   } else {
     auto target = ResolveChunkTarget(proc, dst, chunk_len, &dst_node);
     if (!target.ok()) {
-      ++stats_.protection_violations;
-      obs_.protection_violations->Inc();
+      metrics_.protection_violations.Inc();
       FinishRequest(proc, req.slot, SendStatus::kBadProxy);
       proc.active.reset();
       co_return;
@@ -669,8 +632,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
     // chunk may target a node whose window is closed even though the
     // scheduler admitted the send by its previous destination. Park; the
     // updated dst_node gates re-scheduling.
-    ++stats_.window_stalls;
-    obs_.window_stalls->Inc();
+    metrics_.window_stalls.Inc();
     co_return;
   }
 
@@ -693,7 +655,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
   co_await nic.HostDmaRead(
       src_pa, std::span<std::uint8_t>(
                   payload.MutableData() + ChunkHeader::kWireSize, chunk_len));
-  obs_.host_dma_ns->Observe(
+  metrics_.host_dma_ns.Observe(
       static_cast<double>(nic.simulator().now() - dma_t0));
 
   if (last) {
@@ -736,9 +698,7 @@ sim::Process VmmcLcp::SendOneChunk(lanai::NicCard& nic, ProcState& proc) {
 sim::Process VmmcLcp::SendReadRequest(lanai::NicCard& nic, ProcState& proc,
                                       SendRequest& req) {
   const ReadRequest& rr = *req.read;
-  auto span = obs_.track >= 0
-                  ? nic.simulator().tracer().Scope(obs_.track, "read_req")
-                  : obs::Tracer::Span();
+  auto span = nic.simulator().tracer().Scope(metrics_.track, "read_req");
   // A read request is a control short-send: header build plus a three-word
   // payload copy (the fin triple).
   co_await nic.cpu().Exec(params_.lanai.short_copy_base +
@@ -781,7 +741,7 @@ sim::Process VmmcLcp::SendFinChunk(lanai::NicCard& nic, std::uint32_t dst_node,
   for (int i = 0; i < 4; ++i) {
     bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
   }
-  ++stats_.rdma_fins_sent;
+  metrics_.rdma_fins_sent.Inc();
   tx_box_->Put(TxItem{FrameChunk(nic, dst_node, h, ChunkPayload(bytes)),
                       /*release_staging=*/false});
 }
@@ -791,8 +751,7 @@ void VmmcLcp::HandleReadRequest(const ChunkHeader& h,
   if (data.size() < 12 || h.msg_len == 0 ||
       h.msg_len > params_.vmmc.max_send_bytes ||
       h.src_node >= routes_.size()) {
-    ++stats_.protection_violations;
-    obs_.protection_violations->Inc();
+    metrics_.protection_violations.Inc();
     return;
   }
   auto u32 = [&](std::size_t at) {
@@ -810,8 +769,7 @@ void VmmcLcp::HandleReadRequest(const ChunkHeader& h,
   rs.fin_rtag = u32(0);
   rs.fin_offset = u32(4);
   rs.fin_value = u32(8);
-  ++stats_.rdma_reads_served;
-  obs_.rdma_reads_served->Inc();
+  metrics_.rdma_reads_served.Inc();
   read_serves_.push_back(std::move(rs));
 }
 
@@ -824,9 +782,7 @@ sim::Process VmmcLcp::ServeReadChunk(lanai::NicCard& nic) {
     read_serves_.pop_front();
     co_return;
   }
-  auto span = obs_.track >= 0
-                  ? nic.simulator().tracer().Scope(obs_.track, "read_serve")
-                  : obs::Tracer::Span();
+  auto span = nic.simulator().tracer().Scope(metrics_.track, "read_serve");
   // Serving a read is outgoing-chunk work driven by the main state
   // machine (it always competes with local sends and receive handling, so
   // there is no tight-loop discount), plus the region-table probe.
@@ -836,8 +792,7 @@ sim::Process VmmcLcp::ServeReadChunk(lanai::NicCard& nic) {
       std::min<std::uint64_t>(rs.len - rs.offset, params_.vmmc.chunk_bytes));
   auto src = ResolveRtag(rs.src_rtag, rs.src_offset + rs.offset, chunk_len);
   if (!src.ok()) {
-    ++stats_.protection_violations;
-    obs_.protection_violations->Inc();
+    metrics_.protection_violations.Inc();
     if (rs.fin_rtag != 0) {
       // Tell the requester instead of leaving it spinning forever.
       rs.fin_value |= 0x8000'0000u;
@@ -863,7 +818,8 @@ sim::Process VmmcLcp::ServeReadChunk(lanai::NicCard& nic) {
                                     ChunkHeader::kWireSize + src.value().seg0,
                                 chunk_len - src.value().seg0));
   }
-  obs_.host_dma_ns->Observe(static_cast<double>(nic.simulator().now() - dma_t0));
+  metrics_.host_dma_ns.Observe(
+      static_cast<double>(nic.simulator().now() - dma_t0));
 
   ChunkHeader h;
   h.type = PacketType::kData;
@@ -902,9 +858,7 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
     co_await HandleAck(nic, std::move(rp));
     co_return;
   }
-  auto span = obs_.track >= 0
-                  ? nic.simulator().tracer().Scope(obs_.track, "recv")
-                  : obs::Tracer::Span();
+  auto span = nic.simulator().tracer().Scope(metrics_.track, "recv");
   // With traffic in both directions the receive work also runs through
   // the main software state machine instead of a dedicated drain loop
   // (§5.3): charge the state-machine overhead when send work is pending.
@@ -920,14 +874,12 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
   if (!rp.crc_ok) {
     // Detected (§4.2) and dropped unacknowledged: the sender's RTO resends
     // it with the rest of its go-back-N window.
-    ++stats_.crc_drops;
-    obs_.crc_drops->Inc();
+    metrics_.crc_drops.Inc();
     co_return;
   }
   auto decoded = DecodeChunk(rp.packet.payload);
   if (!decoded.has_value()) {
-    ++stats_.protection_violations;
-    obs_.protection_violations->Inc();
+    metrics_.protection_violations.Inc();
     co_return;
   }
   const ChunkHeader& h = decoded->header;
@@ -940,8 +892,7 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
   // go-back-N channels.
   if (h.dst_node != static_cast<std::uint16_t>(nic.nic_id()) ||
       h.src_node >= peer_rx_.size()) {
-    ++stats_.protection_violations;
-    obs_.protection_violations->Inc();
+    metrics_.protection_violations.Inc();
     co_return;
   }
   PeerRx& rx = peer_rx_[h.src_node];
@@ -951,15 +902,13 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
     case GbnReceiver::Verdict::kDuplicate:
       // Already delivered; the ACK that should have advanced the sender
       // was lost or is still in flight. Re-ACK immediately.
-      ++stats_.duplicate_chunks;
-      obs_.duplicate_chunks->Inc();
+      metrics_.duplicate_chunks.Inc();
       co_await SendAck(nic, h.src_node);
       co_return;
     case GbnReceiver::Verdict::kOutOfOrder:
       // A gap upstream: discard and re-advertise what we still expect so
       // the sender goes back without waiting out its RTO.
-      ++stats_.out_of_order_chunks;
-      obs_.out_of_order_chunks->Inc();
+      metrics_.out_of_order_chunks.Inc();
       co_await SendAck(nic, h.src_node);
       co_return;
   }
@@ -992,8 +941,7 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
     auto t = ResolveRtag(ChunkHeader::RtagOf(h.dst_pa0),
                          ChunkHeader::RtagOffsetOf(h.dst_pa0), h.chunk_len);
     if (!t.ok()) {
-      ++stats_.protection_violations;
-      obs_.protection_violations->Inc();
+      metrics_.protection_violations.Inc();
       co_return;
     }
     pa0 = t.value().pa0;
@@ -1005,16 +953,14 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
   // frame may be written only if its export enabled reception (§4.4).
   const IncomingEntry* e0 = incoming_->Find(mem::PageNumber(pa0));
   if (e0 == nullptr || !e0->recv_enabled) {
-    ++stats_.protection_violations;
-    obs_.protection_violations->Inc();
+    metrics_.protection_violations.Inc();
     co_return;
   }
   const IncomingEntry* e1 = nullptr;
   if (pa1 != 0 && seg0 < h.chunk_len) {
     e1 = incoming_->Find(mem::PageNumber(pa1));
     if (e1 == nullptr || !e1->recv_enabled) {
-      ++stats_.protection_violations;
-      obs_.protection_violations->Inc();
+      metrics_.protection_violations.Inc();
       co_return;
     }
   }
@@ -1025,16 +971,13 @@ sim::Process VmmcLcp::HandleRecv(lanai::NicCard& nic, lanai::ReceivedPacket rp) 
   if (e1 != nullptr) {
     co_await nic.HostDmaWrite(pa1, decoded->data.subspan(seg0));
   }
-  ++stats_.chunks_received;
-  stats_.bytes_received += h.chunk_len;
-  obs_.chunks_received->Inc();
-  obs_.bytes_received->Inc(h.chunk_len);
+  metrics_.chunks_received.Inc();
+  metrics_.bytes_received.Inc(h.chunk_len);
 
   // Notification: only on the last chunk, only if the sender asked and the
   // export allows it (§2, §4.4).
   if (h.last_chunk() && h.notify() && e0->notify) {
-    ++stats_.notifications_raised;
-    obs_.notifications->Inc();
+    metrics_.notifications.Inc();
     notifications_.push_back(
         PendingNotification{e0->owner_pid, e0->export_id, h.msg_len});
     co_await nic.cpu().Exec(params_.lanai.raise_interrupt);
@@ -1074,8 +1017,8 @@ myrinet::Packet VmmcLcp::FrameChunk(lanai::NicCard& nic,
   pkt.payload = std::move(payload);
   tx.unacked.push_back(pkt);
   ++retx_in_use_;
-  obs_.retx_in_use->Set(nic.simulator().now(),
-                        static_cast<double>(retx_in_use_));
+  metrics_.retx_in_use.Set(nic.simulator().now(),
+                           static_cast<double>(retx_in_use_));
   if (first_unacked) {
     tx.cur_rto = params_.vmmc.reliability.rto;
     ArmRtoTimer(nic, dst_node);
@@ -1083,10 +1026,8 @@ myrinet::Packet VmmcLcp::FrameChunk(lanai::NicCard& nic,
   // A read request's payload is its fin triple, not data.
   const std::uint32_t data_bytes =
       h.type == PacketType::kData ? h.chunk_len : 0;
-  ++stats_.chunks_sent;
-  stats_.bytes_sent += data_bytes;
-  obs_.chunks_sent->Inc();
-  obs_.bytes_sent->Inc(data_bytes);
+  metrics_.chunks_sent.Inc();
+  metrics_.bytes_sent.Inc(data_bytes);
   return pkt;
 }
 
@@ -1102,8 +1043,7 @@ sim::Process VmmcLcp::HandleAck(lanai::NicCard& nic, lanai::ReceivedPacket rp) {
       h.src_node >= peer_tx_.size()) {
     co_return;
   }
-  ++stats_.acks_received;
-  obs_.acks_received->Inc();
+  metrics_.acks_received.Inc();
   PeerTx& tx = peer_tx_[h.src_node];
   const std::uint32_t newly = tx.gbn.OnAck(h.seq);
   if (newly == 0) co_return;
@@ -1111,8 +1051,8 @@ sim::Process VmmcLcp::HandleAck(lanai::NicCard& nic, lanai::ReceivedPacket rp) {
     tx.unacked.pop_front();
   }
   retx_in_use_ -= std::min(newly, retx_in_use_);
-  obs_.retx_in_use->Set(nic.simulator().now(),
-                        static_cast<double>(retx_in_use_));
+  metrics_.retx_in_use.Set(nic.simulator().now(),
+                           static_cast<double>(retx_in_use_));
   // Progress: the backoff resets and the timer restarts from now; a fully
   // drained window needs no timer at all.
   tx.cur_rto = params_.vmmc.reliability.rto;
@@ -1136,8 +1076,7 @@ sim::Process VmmcLcp::SendAck(lanai::NicCard& nic, std::uint32_t src_node) {
   myrinet::Packet pkt;
   pkt.route = routes_[src_node];
   pkt.payload = EncodeChunk(h, {});
-  ++stats_.acks_sent;
-  obs_.acks_sent->Inc();
+  metrics_.acks_sent.Inc();
   tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/false});
 }
 
@@ -1163,8 +1102,7 @@ sim::Process VmmcLcp::RetransmitWindow(lanai::NicCard& nic,
   co_await nic.cpu().Exec(params_.lanai.header_prep *
                           static_cast<sim::Tick>(resend.size()));
   for (myrinet::Packet& pkt : resend) {
-    ++stats_.retransmits;
-    obs_.retransmits->Inc();
+    metrics_.retransmits.Inc();
     tx_box_->Put(TxItem{std::move(pkt), /*release_staging=*/false});
   }
 }
@@ -1175,8 +1113,7 @@ sim::Process VmmcLcp::RtoTimer(lanai::NicCard& nic, std::uint32_t dst_node,
   if (!running_) co_return;
   PeerTx& tx = peer_tx_[dst_node];
   if (tx.timer_gen != gen || !tx.gbn.has_unacked()) co_return;
-  ++stats_.retransmit_timeouts;
-  obs_.retransmit_timeouts->Inc();
+  metrics_.retransmit_timeouts.Inc();
   tx.cur_rto =
       std::min<sim::Tick>(tx.cur_rto * 2, params_.vmmc.reliability.rto_max);
   co_await RetransmitWindow(nic, dst_node);
@@ -1201,8 +1138,7 @@ void VmmcLcp::ArmRtoTimer(lanai::NicCard& nic, std::uint32_t dst_node) {
 }
 
 void VmmcLcp::OnDropNotice(const myrinet::Packet& packet) {
-  ++stats_.drop_notices;
-  obs_.drop_notices->Inc();
+  metrics_.drop_notices.Inc();
   if (!running_) return;
   auto decoded = DecodeChunk(packet.payload);
   if (!decoded.has_value()) return;

@@ -26,16 +26,13 @@ sim::Task<Result<std::unique_ptr<P2pChannel>>> P2pChannel::Create(
   if (peer < 0 || peer == ep.node_id()) {
     co_return Out(InvalidArgument("bad peer node"));
   }
-  std::unique_ptr<P2pChannel> ch(
-      new P2pChannel(ep, peer, std::move(tag), params));
+  const std::string prefix = "node" + std::to_string(ep.node_id()) + ".p2p.";
+  obs::Registry& m = ep.machine().kernel().simulator().metrics();
+  std::unique_ptr<P2pChannel> ch(new P2pChannel(
+      ep, peer, std::move(tag), params, m.GetCounter(prefix + "eager_sends"),
+      m.GetCounter(prefix + "rendezvous_sends")));
   Status s = co_await ch->SetupBuffers();
   if (!s.ok()) co_return Out(s);
-
-  const std::string prefix =
-      "node" + std::to_string(ep.node_id()) + ".p2p.";
-  obs::Registry& m = ep.machine().kernel().simulator().metrics();
-  ch->eager_sends_m_ = &m.GetCounter(prefix + "eager_sends");
-  ch->rdv_sends_m_ = &m.GetCounter(prefix + "rendezvous_sends");
   co_return std::move(ch);
 }
 
@@ -135,8 +132,7 @@ sim::Task<Status> P2pChannel::Send(mem::VirtAddr src, std::uint32_t len) {
       Status s = co_await ep_.SendMsg(send_staging, send_slot, len);
       if (!s.ok()) co_return s;
     }
-    ++stats_.eager_sends;
-    eager_sends_m_->Inc();
+    eager_sends_.Inc();
   } else {
     // Reader-pull rendezvous: register the source (warm in the pin-down
     // cache on repeats) and advertise its rtag; the receiver RdmaReads.
@@ -154,10 +150,8 @@ sim::Task<Status> P2pChannel::Send(mem::VirtAddr src, std::uint32_t len) {
     }
     pending_region_ = region.value();
     pending_region_live_ = true;
-    ++stats_.rendezvous_sends;
-    rdv_sends_m_->Inc();
+    rendezvous_sends_.Inc();
   }
-  stats_.bytes_sent += len;
   Status t = co_await SendTrailer(len, eager ? kKindEager : kKindRts);
   if (!t.ok()) co_return t;
   ++next_send_seq;
@@ -188,9 +182,7 @@ sim::Task<Status> P2pChannel::Send(std::span<const std::uint8_t> data) {
       Status s = co_await ep_.SendMsg(send_staging, send_slot, len);
       if (!s.ok()) co_return s;
     }
-    ++stats_.eager_sends;
-    eager_sends_m_->Inc();
-    stats_.bytes_sent += len;
+    eager_sends_.Inc();
     Status t = co_await SendTrailer(len, kKindEager);
     if (!t.ok()) co_return t;
     ++next_send_seq;
@@ -232,7 +224,6 @@ sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
       if (Status w = ep_.WriteBuffer(dst, tmp); !w.ok()) co_return Out(w);
       co_await ep_.machine().cpu().Bcopy(len);
     }
-    ++stats_.eager_recvs;
   } else if (kind == kKindRts) {
     const std::uint32_t rtag = ReadWord(recv_slot);
     const std::uint64_t off = std::uint64_t{ReadWord(recv_slot + 4)} |
@@ -243,11 +234,9 @@ sim::Task<Result<std::uint32_t>> P2pChannel::RecvInto(mem::VirtAddr dst,
                                           region.value(), 0);
     (void)co_await ep_.UnregisterMemory(region.value());
     if (!pulled.ok()) co_return Out(pulled);
-    ++stats_.rendezvous_recvs;
   } else {
     co_return Out(InternalError("corrupt channel trailer"));
   }
-  stats_.bytes_received += len;
 
   // Ack consumption; for rendezvous this is also what lets the sender
   // retire its source registration.

@@ -12,20 +12,25 @@ namespace vmmc::vmmc_core {
 namespace {
 bool WantsSend(RegIntent i) { return i != RegIntent::kRecv; }
 bool WantsRecv(RegIntent i) { return i != RegIntent::kSend; }
+
+std::string RegCacheMetric(int node, const char* leaf) {
+  return "node" + std::to_string(node) + ".regcache." + leaf;
+}
 }  // namespace
 
 RegCache::RegCache(const Params& params, host::UserProcess& process,
                    VmmcLcp& lcp, ProcState& state, sim::Simulator& sim,
                    int node)
-    : params_(params), process_(process), lcp_(lcp), state_(state) {
-  sim_ = &sim;
-  const std::string prefix = "node" + std::to_string(node) + ".regcache.";
-  auto& reg = sim.metrics();
-  hit_m_ = &reg.GetCounter(prefix + "hit");
-  miss_m_ = &reg.GetCounter(prefix + "miss");
-  evict_m_ = &reg.GetCounter(prefix + "evict");
-  pinned_m_ = &reg.GetGauge(prefix + "pinned_bytes");
-}
+    : params_(params),
+      process_(process),
+      lcp_(lcp),
+      state_(state),
+      sim_(sim),
+      hits_(sim.metrics().GetCounter(RegCacheMetric(node, "hit"))),
+      misses_(sim.metrics().GetCounter(RegCacheMetric(node, "miss"))),
+      evictions_(sim.metrics().GetCounter(RegCacheMetric(node, "evict"))),
+      pinned_gauge_(
+          sim.metrics().GetGauge(RegCacheMetric(node, "pinned_bytes"))) {}
 
 RegCache::~RegCache() {
   // Process teardown: drop everything, active registrations included — in
@@ -64,8 +69,7 @@ Result<RegCache::Acquisition> RegCache::Acquire(mem::VirtAddr va,
       }
       if (e.refs == 0) LruUnlink(e);
       ++e.refs;
-      ++hits_;
-      hit_m_->Inc();
+      hits_.Inc();
       return Acquisition{MemRegion{va, len, e.rtag, e.id}, rc.hit_lookup, true};
     }
   }
@@ -84,8 +88,7 @@ Result<RegCache::Acquisition> RegCache::Acquire(mem::VirtAddr va,
   auto cost = Register(*e, intent);
   if (!cost.ok()) return cost.status();
 
-  ++misses_;
-  miss_m_->Inc();
+  misses_.Inc();
   pinned_bytes_ += bytes;
   SetPinnedGauge();
   Entry* raw = e.get();
@@ -126,8 +129,7 @@ void RegCache::InvalidateRange(mem::VirtAddr va, std::uint64_t len) {
     const mem::Vpn e_hi = e_lo + e->key.pages - 1;
     if (e_lo <= hi && lo <= e_hi) {
       LruUnlink(*e);
-      ++evictions_;
-      evict_m_->Inc();
+      evictions_.Inc();
       Destroy(*e);
     }
     e = next;
@@ -264,14 +266,13 @@ void RegCache::EvictFor(std::uint64_t extra) {
   while (lru_head_ != nullptr && pinned_bytes_ + extra > budget) {
     Entry* victim = lru_head_;
     LruUnlink(*victim);
-    ++evictions_;
-    evict_m_->Inc();
+    evictions_.Inc();
     Destroy(*victim);
   }
 }
 
 void RegCache::SetPinnedGauge() {
-  pinned_m_->Set(sim_->now(), static_cast<double>(pinned_bytes_));
+  pinned_gauge_.Set(sim_.now(), static_cast<double>(pinned_bytes_));
 }
 
 }  // namespace vmmc::vmmc_core

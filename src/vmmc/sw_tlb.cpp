@@ -4,28 +4,10 @@
 
 namespace vmmc::vmmc_core {
 
-namespace {
-// Default metric sinks: a TLB constructed outside a cluster (unit tests)
-// counts into these, keeping Lookup/Insert free of null checks.
-obs::Counter g_unbound_hits;
-obs::Counter g_unbound_misses;
-obs::Counter g_unbound_evictions;
-}  // namespace
-
-SwTlb::SwTlb(std::uint32_t total_entries, std::uint32_t ways)
-    : ways_(ways),
-      sets_(total_entries),
-      hits_m_(&g_unbound_hits),
-      misses_m_(&g_unbound_misses),
-      evictions_m_(&g_unbound_evictions) {
+SwTlb::SwTlb(std::uint32_t total_entries, std::uint32_t ways,
+             Counters counters)
+    : ways_(ways), sets_(total_entries), counters_(counters) {
   assert(ways > 0 && total_entries % ways == 0);
-}
-
-void SwTlb::BindMetrics(obs::Counter* hits, obs::Counter* misses,
-                        obs::Counter* evictions) {
-  hits_m_ = hits != nullptr ? hits : &g_unbound_hits;
-  misses_m_ = misses != nullptr ? misses : &g_unbound_misses;
-  evictions_m_ = evictions != nullptr ? evictions : &g_unbound_evictions;
 }
 
 bool SwTlb::Lookup(mem::Vpn vpn, mem::Pfn* pfn) {
@@ -35,13 +17,11 @@ bool SwTlb::Lookup(mem::Vpn vpn, mem::Pfn* pfn) {
     if (way.valid && way.vpn == vpn) {
       way.last_used = ++clock_;
       if (pfn != nullptr) *pfn = way.pfn;
-      ++hits_;
-      hits_m_->Inc();
+      counters_.hits.Inc();
       return true;
     }
   }
-  ++misses_;
-  misses_m_->Inc();
+  counters_.misses.Inc();
   return false;
 }
 
@@ -61,10 +41,7 @@ void SwTlb::Insert(mem::Vpn vpn, mem::Pfn pfn) {
       victim = &way;
     }
   }
-  if (victim->valid) {
-    ++evictions_;
-    evictions_m_->Inc();
-  }
+  if (victim->valid) counters_.evictions.Inc();
   *victim = Way{true, vpn, pfn, ++clock_};
 }
 

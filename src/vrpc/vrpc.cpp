@@ -46,12 +46,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> RpcClient::Call(
     std::uint32_t prog, std::uint32_t vers, std::uint32_t proc,
     std::vector<std::uint8_t> args) {
   const VrpcParams& vp = params_.vrpc;
-  if (calls_m_ == nullptr) {
-    calls_m_ = &sim_.metrics().GetCounter("vrpc.client.calls");
-    rtt_us_m_ = &sim_.metrics().GetHisto("vrpc.client.rtt_us");
-    track_ = sim_.tracer().RegisterTrack("vrpc.client");
-  }
-  calls_m_->Inc();
+  calls_.Inc();
   const sim::Tick t0 = sim_.now();
   // Client stub + runtime layers (collapsed into one thin layer, §5.4).
   co_await sim_.Delay(fast_path_ ? vp.fast_client_stub : vp.client_stub);
@@ -66,7 +61,7 @@ sim::Task<Result<std::vector<std::uint8_t>>> RpcClient::Call(
   // nesting, so round trips are async events keyed by xid.
   sim_.tracer().AsyncBegin(track_, "call", call.xid);
   const auto finish = [this, t0, xid = call.xid] {
-    rtt_us_m_->Observe(static_cast<double>(sim_.now() - t0) / 1000.0);
+    rtt_us_.Observe(static_cast<double>(sim_.now() - t0) / 1000.0);
     sim_.tracer().AsyncEnd(track_, "call", xid);
   };
 

@@ -1,0 +1,1 @@
+// Fixture: a file name that exists twice in the tree.

@@ -186,17 +186,18 @@ TEST_P(FaultMatrixTest, SendsDeliverExactlyOnceInOrder) {
   ASSERT_TRUE(RunUntilBy(sim, deadline, [&] { return done; })) << fc.Name();
   // Drain: sender completion is local, the tail chunks (and their
   // retransmissions) may still be in flight.
-  const auto& rstats = cluster.node(1).lcp->stats();
+  const auto& rstats = cluster.node(1).lcp->metrics();
   std::uint64_t expect_bytes = 0;
   for (std::uint32_t len : kLens) expect_bytes += len;
   expect_bytes += static_cast<std::uint64_t>(kOverwrites) * 8000;
-  ASSERT_TRUE(RunUntilBy(sim, deadline,
-                         [&] { return rstats.bytes_received >= expect_bytes; }))
-      << fc.Name() << ": delivered " << rstats.bytes_received << "/"
+  ASSERT_TRUE(RunUntilBy(sim, deadline, [&] {
+    return rstats.bytes_received.value() >= expect_bytes;
+  }))
+      << fc.Name() << ": delivered " << rstats.bytes_received.value() << "/"
       << expect_bytes;
 
   // Exactly once: accepted bytes match sent bytes despite retransmissions.
-  EXPECT_EQ(rstats.bytes_received, expect_bytes) << fc.Name();
+  EXPECT_EQ(rstats.bytes_received.value(), expect_bytes) << fc.Name();
 
   // Intact: every slice matches its payload byte for byte.
   for (std::size_t i = 0; i < kLens.size(); ++i) {
@@ -218,17 +219,19 @@ TEST_P(FaultMatrixTest, SendsDeliverExactlyOnceInOrder) {
   // delay jitter reorders nothing on a FIFO link so it needs no recovery.
   if (fc.high) {
     const obs::Registry& m = sim.metrics();
-    const auto& sstats = cluster.node(0).lcp->stats();
+    const auto& sstats = cluster.node(0).lcp->metrics();
     switch (fc.kind) {
       case FaultKind::kBitFlip:
         EXPECT_GT(m.CounterValue("fault.injected.bitflips"), 0u) << fc.Name();
-        EXPECT_GT(sstats.retransmits + cluster.node(1).lcp->stats().retransmits,
+        EXPECT_GT(sstats.retransmits.value() +
+                      cluster.node(1).lcp->metrics().retransmits.value(),
                   0u)
             << fc.Name();
         break;
       case FaultKind::kDrop:
         EXPECT_GT(m.CounterValue("fault.injected.drops"), 0u) << fc.Name();
-        EXPECT_GT(sstats.retransmits + cluster.node(1).lcp->stats().retransmits,
+        EXPECT_GT(sstats.retransmits.value() +
+                      cluster.node(1).lcp->metrics().retransmits.value(),
                   0u)
             << fc.Name();
         break;
@@ -455,8 +458,8 @@ TEST_P(FaultRdmaTest, WriteWithFinAndReadBackUnderFaults) {
   const Tick deadline = sim.now() + sim::Seconds(1);
   ASSERT_TRUE(RunUntilBy(sim, deadline, [&] { return done; }))
       << fc.Name() << " did not finish by the deadline";
-  EXPECT_GT(cluster.node(0).lcp->stats().retransmits +
-                cluster.node(1).lcp->stats().retransmits,
+  EXPECT_GT(cluster.node(0).lcp->metrics().retransmits.value() +
+                cluster.node(1).lcp->metrics().retransmits.value(),
             0u)
       << fc.Name();
 }
@@ -531,9 +534,10 @@ RunArtifacts RunSeededWorkload(std::uint64_t seed) {
   // Either seed finishes within 3.0 ms.
   const Tick deadline = sim.now() + sim::Milliseconds(20);
   EXPECT_TRUE(RunUntilBy(sim, deadline, [&] { return done; }));
-  const auto& rstats = cluster.node(1).lcp->stats();
-  EXPECT_TRUE(RunUntilBy(sim, deadline,
-                         [&] { return rstats.bytes_received >= 6 * 9000; }));
+  const auto& rstats = cluster.node(1).lcp->metrics();
+  EXPECT_TRUE(RunUntilBy(sim, deadline, [&] {
+    return rstats.bytes_received.value() >= 6 * 9000;
+  }));
 
   RunArtifacts out;
   out.metrics_json = sim.metrics().ToJson(sim.now());
@@ -613,18 +617,18 @@ TEST(DropNoticeTest, MisrouteTriggersFastRetransmitAndDelivery) {
   sim.Spawn(sender());
   ASSERT_TRUE(sim.RunUntil([&] { return sent; }, 500'000'000));
 
-  const auto& rstats = cluster.node(1).lcp->stats();
-  ASSERT_TRUE(
-      sim.RunUntil([&] { return rstats.bytes_received >= 12'000; }, 500'000'000));
+  const auto& rstats = cluster.node(1).lcp->metrics();
+  ASSERT_TRUE(sim.RunUntil(
+      [&] { return rstats.bytes_received.value() >= 12'000; }, 500'000'000));
 
   // The misroutes were observed, reported, and repaired.
   EXPECT_GT(cluster.node(0).nic->fabric().drop_notices(), 0u);
-  const auto& sstats = cluster.node(0).lcp->stats();
-  EXPECT_GT(sstats.drop_notices, 0u);
-  EXPECT_GT(sstats.retransmits, 0u);
+  const auto& sstats = cluster.node(0).lcp->metrics();
+  EXPECT_GT(sstats.drop_notices.value(), 0u);
+  EXPECT_GT(sstats.retransmits.value(), 0u);
   // Repair came from the drop notice, not the 250 µs RTO: the whole
   // exchange fits well inside one RTO after the drop.
-  EXPECT_EQ(sstats.retransmit_timeouts, 0u);
+  EXPECT_EQ(sstats.retransmit_timeouts.value(), 0u);
 
   std::vector<std::uint8_t> got(12'000);
   ASSERT_TRUE(recv.value()->ReadBuffer(rbuf, got).ok());

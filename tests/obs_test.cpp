@@ -16,6 +16,8 @@
 #include "vmmc/sim/simulator.h"
 #include "vmmc/vmmc/cluster.h"
 
+#include "co_test_util.h"
+
 namespace vmmc::obs {
 namespace {
 
@@ -382,6 +384,138 @@ TEST(TraceDeterminismTest, IdenticalRunsProduceByteIdenticalOutput) {
   EXPECT_NE(trace1.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(metrics1.find("node0.lcp.sends"), std::string::npos);
   EXPECT_NE(metrics1.find("fabric.link"), std::string::npos);
+}
+
+// --- every LCP count is a registry counter ----------------------------------
+
+// Value of counter `name` in a Registry::ToJson snapshot; -1 if absent.
+long long JsonCounter(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::atoll(json.c_str() + at + key.size());
+}
+
+TEST(ObsTest, EveryLcpCountIsARegistryCounter) {
+  sim::Simulator sim;
+  Params params;
+  vmmc_core::ClusterOptions options;
+  options.num_nodes = 2;
+  vmmc_core::Cluster cluster(sim, params, options);
+  ASSERT_TRUE(cluster.Boot().ok());
+  auto a = cluster.OpenEndpoint(0, "a");
+  auto b = cluster.OpenEndpoint(1, "b");
+  ASSERT_TRUE(a.ok() && b.ok());
+
+  constexpr std::uint32_t kInbox = 64 * 1024;
+  constexpr std::uint32_t kLong = 48 * 1024 + 100;  // 13 chunks
+  // Per node: its endpoint, the proxy base of the peer's imported inbox,
+  // and a registered receive region (one-sided write target on node 1,
+  // read destination on node 0).
+  struct Side {
+    vmmc_core::Endpoint* ep = nullptr;
+    vmmc_core::ProxyAddr proxy = 0;
+    mem::VirtAddr src = 0;
+    vmmc_core::MemRegion region;
+  };
+  Side side[2];
+  side[0].ep = a.value().get();
+  side[1].ep = b.value().get();
+
+  // Phase 1: both nodes export an inbox, import the other's and push one
+  // long message into it at the same time; the cross traffic moves some
+  // chunks from the tight send loop to the main loop (§5.3).
+  int pushed = 0;
+  auto push = [&](int me) -> sim::Process {
+    Side& s = side[me];
+    auto inbox = s.ep->AllocBuffer(kInbox);
+    CO_ASSERT_TRUE(inbox.ok());
+    vmmc_core::ExportOptions eo;
+    eo.name = me == 0 ? "inbox0" : "inbox1";
+    auto id = co_await s.ep->ExportBuffer(inbox.value(), kInbox, std::move(eo));
+    CO_ASSERT_TRUE(id.ok());
+    auto rdma = s.ep->AllocBuffer(kLong + 64);
+    CO_ASSERT_TRUE(rdma.ok());
+    auto region = co_await s.ep->RegisterMemory(rdma.value(), kLong + 64,
+                                                vmmc_core::RegIntent::kRecv);
+    CO_ASSERT_TRUE(region.ok());
+    s.region = region.value();
+    vmmc_core::ImportOptions wait;
+    wait.wait = true;
+    auto imported = co_await s.ep->ImportBuffer(1 - me,
+                                                me == 0 ? "inbox1" : "inbox0",
+                                                wait);
+    CO_ASSERT_TRUE(imported.ok());
+    s.proxy = imported.value().proxy_base;
+    auto src = s.ep->AllocBuffer(kLong);
+    CO_ASSERT_TRUE(src.ok());
+    s.src = src.value();
+    Status sent = co_await s.ep->SendMsg(s.src, s.proxy, kLong);
+    CO_ASSERT_TRUE(sent.ok());
+    ++pushed;
+  };
+  sim.Spawn(push(0));
+  sim.Spawn(push(1));
+  ASSERT_TRUE(sim.RunUntil([&] { return pushed == 2; }));
+
+  // Phase 2, from node 0: a short send, a one-sided write with a fin, a
+  // one-sided read, and a send to a proxy page it never imported.
+  bool done = false;
+  Status bad_proxy = OkStatus();
+  auto extras = [&]() -> sim::Process {
+    vmmc_core::Endpoint& ep = *side[0].ep;
+    CO_ASSERT_TRUE((co_await ep.SendMsg(side[0].src, side[0].proxy, 64)).ok());
+    const vmmc_core::RemoteTarget target{1, side[1].region.rtag, 0};
+    vmmc_core::RdmaOptions fin;
+    fin.fin_rtag = side[1].region.rtag;
+    fin.fin_offset = kLong;
+    fin.fin_value = 1;
+    CO_ASSERT_TRUE(
+        (co_await ep.RdmaWrite(side[0].src, target, kLong, fin)).ok());
+    CO_ASSERT_TRUE(
+        (co_await ep.RdmaRead(target, 4096, side[0].region)).ok());
+    bad_proxy = co_await ep.SendMsg(side[0].src, side[0].proxy + 2 * kInbox,
+                                    4096);
+    done = true;
+  };
+  sim.Spawn(extras());
+  ASSERT_TRUE(sim.RunUntil([&] { return done; }));
+  EXPECT_EQ(bad_proxy.code(), ErrorCode::kPermissionDenied);
+
+  // The dump lists every count, with the value the LCP reports.
+  const std::string json = sim.metrics().ToJson(sim.now());
+  std::uint64_t tight = 0;
+  std::uint64_t main_loop = 0;
+  for (int node = 0; node < 2; ++node) {
+    const vmmc_core::VmmcLcp::Metrics& st = cluster.node(node).lcp->metrics();
+    const std::pair<const char*, const Counter*> counts[] = {
+        {"short_sends", &st.short_sends},
+        {"long_sends", &st.long_sends},
+        {"send_errors", &st.send_errors},
+        {"rdma_read_requests", &st.rdma_read_requests},
+        {"rdma_fins_sent", &st.rdma_fins_sent},
+        {"tight_loop_chunks", &st.tight_loop_chunks},
+        {"main_loop_chunks", &st.main_loop_chunks},
+    };
+    for (const auto& [leaf, counter] : counts) {
+      const std::string name = "node" + std::to_string(node) + ".lcp." + leaf;
+      EXPECT_EQ(JsonCounter(json, name),
+                static_cast<long long>(counter->value()))
+          << name;
+    }
+    tight += st.tight_loop_chunks.value();
+    main_loop += st.main_loop_chunks.value();
+  }
+  const vmmc_core::VmmcLcp::Metrics& s0 = cluster.node(0).lcp->metrics();
+  EXPECT_EQ(s0.short_sends.value(), 1u);
+  EXPECT_EQ(s0.long_sends.value(), 2u) << "the long send and the write";
+  EXPECT_EQ(s0.send_errors.value(), 1u);
+  EXPECT_EQ(s0.rdma_read_requests.value(), 1u);
+  EXPECT_EQ(s0.rdma_fins_sent.value(), 1u) << "the write's fin";
+  EXPECT_EQ(cluster.node(1).lcp->metrics().rdma_fins_sent.value(), 1u)
+      << "the read's fin, sent by the serving node";
+  EXPECT_GT(tight, 0u);
+  EXPECT_GT(main_loop, 0u);
 }
 
 TEST(TraceEnvGuardTest, WritesTraceFileAtDestruction) {

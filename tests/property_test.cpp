@@ -117,7 +117,10 @@ TEST_P(TlbPropertyTest, MatchesReferenceLruModel) {
   constexpr std::uint32_t kEntries = 32;
   constexpr std::uint32_t kWays = 2;
   const std::uint32_t sets = kEntries / kWays;
-  vmmc_core::SwTlb tlb(kEntries, kWays);
+  obs::Registry reg;
+  vmmc_core::SwTlb tlb(kEntries, kWays,
+                       {reg.GetCounter("tlb.hit"), reg.GetCounter("tlb.miss"),
+                        reg.GetCounter("tlb.eviction")});
 
   // Reference: per set, a list of (vpn, pfn) ordered LRU-first.
   std::vector<std::vector<std::pair<mem::Vpn, mem::Pfn>>> ref(sets);

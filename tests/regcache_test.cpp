@@ -376,7 +376,7 @@ TEST_F(RdmaTest, WriteDeliversDataAndFin) {
   for (std::uint32_t i = 0; i < kLen; ++i) {
     ASSERT_EQ(got[i], static_cast<std::uint8_t>(i * 7)) << "at byte " << i;
   }
-  EXPECT_GE(cluster_->node(0).lcp->stats().rdma_writes, 1u);
+  EXPECT_GE(cluster_->node(0).lcp->metrics().rdma_writes.value(), 1u);
 }
 
 TEST_F(RdmaTest, ReadPullsRemoteData) {
@@ -414,7 +414,7 @@ TEST_F(RdmaTest, ReadPullsRemoteData) {
     ASSERT_EQ(got[i], static_cast<std::uint8_t>(255 - (i % 251)))
         << "at byte " << i;
   }
-  EXPECT_GE(cluster_->node(1).lcp->stats().rdma_reads_served, 1u);
+  EXPECT_GE(cluster_->node(1).lcp->metrics().rdma_reads_served.value(), 1u);
 }
 
 TEST_F(RdmaTest, ReadIntoLongerReRegistrationOfSamePages) {
@@ -533,7 +533,7 @@ TEST_F(RdmaTest, ReadFromBogusRtagIsRejectedRemotely) {
   RunAll();
   ASSERT_TRUE(done);
   EXPECT_EQ(r.code(), ErrorCode::kPermissionDenied);
-  EXPECT_GE(cluster_->node(1).lcp->stats().protection_violations, 1u);
+  EXPECT_GE(cluster_->node(1).lcp->metrics().protection_violations.value(), 1u);
 }
 
 TEST_F(RdmaTest, WriteValidatesArguments) {

@@ -236,7 +236,7 @@ TEST(BackpressureTest, AsyncFloodIsBoundedByQueueSlots) {
   sim.Spawn(flood());
   sim.Run(100'000'000);
   EXPECT_EQ(completed, kSends);
-  EXPECT_EQ(cluster.node(0).lcp->stats().sends_processed,
+  EXPECT_EQ(cluster.node(0).lcp->metrics().sends.value(),
             static_cast<std::uint64_t>(kSends));
 }
 

@@ -84,7 +84,7 @@ TEST_F(ApiTest, LongSendFromUnmappedSourceFailsViaDriver) {
   sim_.Spawn(prog());
   RunAll();
   EXPECT_EQ(status.code(), ErrorCode::kNotFound);
-  EXPECT_GE(cluster_->node(0).lcp->stats().tlb_miss_interrupts, 1u);
+  EXPECT_GE(cluster_->node(0).lcp->metrics().tlb_miss_interrupts.value(), 1u);
 }
 
 TEST_F(ApiTest, ExportValidation) {

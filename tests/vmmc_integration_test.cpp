@@ -302,8 +302,8 @@ TEST_F(VmmcTest, LongSendUsesTlbMissServiceOnce) {
   // 160 KB + change needs exactly 2 miss interrupts.
   RunTransfer(sim_, *cluster_, *recv.value(), *send.value(), 40 * 4096, 0,
               result, "tlb");
-  const auto& stats = cluster_->node(0).lcp->stats();
-  EXPECT_EQ(stats.tlb_miss_interrupts, 2u);
+  const auto& stats = cluster_->node(0).lcp->metrics();
+  EXPECT_EQ(stats.tlb_miss_interrupts.value(), 2u);
   EXPECT_GE(cluster_->node(0).driver->pages_pinned(), 40u);
 }
 
@@ -327,11 +327,11 @@ TEST_F(VmmcTest, WarmTlbAvoidsFurtherInterrupts) {
     CO_ASSERT_TRUE(src.ok());
     Status s1 = co_await ep.SendMsg(src.value(), imp.value().proxy_base, 40 * 4096);
     CO_ASSERT_TRUE(s1.ok());
-    misses_after_first = cluster_->node(0).lcp->stats().tlb_miss_interrupts;
+    misses_after_first = cluster_->node(0).lcp->metrics().tlb_miss_interrupts.value();
     // Same buffer again: translations are warm in the SRAM TLB.
     Status s2 = co_await ep.SendMsg(src.value(), imp.value().proxy_base, 40 * 4096);
     CO_ASSERT_TRUE(s2.ok());
-    misses_after_second = cluster_->node(0).lcp->stats().tlb_miss_interrupts;
+    misses_after_second = cluster_->node(0).lcp->metrics().tlb_miss_interrupts.value();
   };
   sim_.Spawn(prog(*send.value()));
   RunAll();
@@ -353,8 +353,8 @@ TEST_F(VmmcTest, SendToNonImportedProxyFails) {
   sim_.Spawn(prog(*send.value()));
   RunAll();
   EXPECT_EQ(status.code(), ErrorCode::kPermissionDenied);
-  EXPECT_GE(cluster_->node(0).lcp->stats().protection_violations, 1u);
-  EXPECT_EQ(cluster_->node(0).lcp->stats().bytes_sent, 0u);
+  EXPECT_GE(cluster_->node(0).lcp->metrics().protection_violations.value(), 1u);
+  EXPECT_EQ(cluster_->node(0).lcp->metrics().bytes_sent.value(), 0u);
 }
 
 TEST_F(VmmcTest, SendBeyondImportedBufferFails) {
@@ -413,8 +413,8 @@ TEST_F(VmmcTest, ReceiverChecksIncomingTableEvenForForgedPackets) {
   };
   sim_.Spawn(inject());
   RunAll();
-  EXPECT_EQ(cluster_->node(1).lcp->stats().protection_violations, 1u);
-  EXPECT_EQ(cluster_->node(1).lcp->stats().bytes_received, 0u);
+  EXPECT_EQ(cluster_->node(1).lcp->metrics().protection_violations.value(), 1u);
+  EXPECT_EQ(cluster_->node(1).lcp->metrics().bytes_received.value(), 0u);
 }
 
 TEST_F(VmmcTest, AsyncSendOverlapsAndCompletes) {
@@ -517,7 +517,7 @@ TEST_F(VmmcTest, NotificationInvokesUserHandler) {
   EXPECT_EQ(handler_runs, 1);
   EXPECT_EQ(handler_len, 40000u);
   EXPECT_GT(handler_time, 0);
-  EXPECT_EQ(cluster_->node(1).lcp->stats().notifications_raised, 1u);
+  EXPECT_EQ(cluster_->node(1).lcp->metrics().notifications.value(), 1u);
   EXPECT_EQ(recv.value()->notifications_received(), 1u);
   EXPECT_GE(cluster_->node(1).machine->kernel().signals_posted(), 1u);
 }
@@ -602,7 +602,7 @@ TEST_F(VmmcTest, BurstOfNotificationsAllDelivered) {
   EXPECT_EQ(recv.value()->notifications_received(),
             static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(handler_runs, kMessages);
-  EXPECT_EQ(cluster_->node(1).lcp->stats().notifications_raised,
+  EXPECT_EQ(cluster_->node(1).lcp->metrics().notifications.value(),
             static_cast<std::uint64_t>(kMessages));
 }
 
@@ -772,9 +772,9 @@ TEST_F(VmmcTest, CrcErrorsAreCountedAndDropped) {
   // Every data packet was corrupted: dropped at the receiver and counted
   // (§4.2), then resent after a retransmit timeout.
   EXPECT_GE(cluster_->node(1).nic->crc_errors(), 1u);
-  EXPECT_GE(cluster_->node(1).lcp->stats().crc_drops, 1u);
-  EXPECT_EQ(cluster_->node(1).lcp->stats().bytes_received, 0u);
-  EXPECT_GE(cluster_->node(0).lcp->stats().retransmit_timeouts, 1u);
+  EXPECT_GE(cluster_->node(1).lcp->metrics().crc_drops.value(), 1u);
+  EXPECT_EQ(cluster_->node(1).lcp->metrics().bytes_received.value(), 0u);
+  EXPECT_GE(cluster_->node(0).lcp->metrics().retransmit_timeouts.value(), 1u);
 }
 
 TEST_F(VmmcTest, UnexportDisablesFutureDelivery) {
@@ -804,8 +804,8 @@ TEST_F(VmmcTest, UnexportDisablesFutureDelivery) {
   RunAll();
   // Sender-side completion may succeed (short send, fire and forget at the
   // receiver), but the receiver must have rejected the write.
-  EXPECT_GE(cluster_->node(1).lcp->stats().protection_violations, 1u);
-  EXPECT_EQ(cluster_->node(1).lcp->stats().bytes_received, 0u);
+  EXPECT_GE(cluster_->node(1).lcp->metrics().protection_violations.value(), 1u);
+  EXPECT_EQ(cluster_->node(1).lcp->metrics().bytes_received.value(), 0u);
   (void)send_status;
 }
 
@@ -845,8 +845,8 @@ TEST_F(VmmcTest, BidirectionalTransfersBothComplete) {
   EXPECT_EQ(got, PatternBytes(kLen, 0xB0));
   // Cross traffic forced the LCP out of the tight sending loop for at
   // least part of the transfer (§5.3).
-  EXPECT_GT(cluster_->node(0).lcp->stats().main_loop_chunks +
-                cluster_->node(1).lcp->stats().main_loop_chunks,
+  EXPECT_GT(cluster_->node(0).lcp->metrics().main_loop_chunks.value() +
+                cluster_->node(1).lcp->metrics().main_loop_chunks.value(),
             0u);
 }
 

@@ -11,6 +11,13 @@
 namespace vmmc::vmmc_core {
 namespace {
 
+// A standalone TLB counts into counters handed to it; a cluster hands it
+// its node's node<N>.tlb.*.
+SwTlb::Counters LocalCounters(obs::Registry& r) {
+  return {r.GetCounter("tlb.hit"), r.GetCounter("tlb.miss"),
+          r.GetCounter("tlb.eviction")};
+}
+
 TEST(ProxyAddrTest, Decomposition) {
   ProxyAddr a = MakeProxyAddr(5, 123);
   EXPECT_EQ(ProxyPage(a), 5u);
@@ -89,7 +96,8 @@ TEST(IncomingPageTableTest, EnableDisableFind) {
 }
 
 TEST(SwTlbTest, HitMissInsert) {
-  SwTlb tlb(8, 2);
+  obs::Registry reg;
+  SwTlb tlb(8, 2, LocalCounters(reg));
   mem::Pfn pfn = 0;
   EXPECT_FALSE(tlb.Lookup(5, &pfn));
   tlb.Insert(5, 500);
@@ -97,6 +105,8 @@ TEST(SwTlbTest, HitMissInsert) {
   EXPECT_EQ(pfn, 500u);
   EXPECT_EQ(tlb.hits(), 1u);
   EXPECT_EQ(tlb.misses(), 1u);
+  EXPECT_EQ(reg.CounterValue("tlb.hit"), 1u);
+  EXPECT_EQ(reg.CounterValue("tlb.miss"), 1u);
   tlb.Insert(5, 501);  // refresh
   EXPECT_TRUE(tlb.Lookup(5, &pfn));
   EXPECT_EQ(pfn, 501u);
@@ -104,7 +114,8 @@ TEST(SwTlbTest, HitMissInsert) {
 }
 
 TEST(SwTlbTest, TwoWayConflictEvictsLru) {
-  SwTlb tlb(8, 2);  // 4 sets, 2 ways
+  obs::Registry reg;
+  SwTlb tlb(8, 2, LocalCounters(reg));  // 4 sets, 2 ways
   // VPNs 0, 4, 8 all map to set 0.
   tlb.Insert(0, 100);
   tlb.Insert(4, 104);
@@ -117,7 +128,8 @@ TEST(SwTlbTest, TwoWayConflictEvictsLru) {
 }
 
 TEST(SwTlbTest, InvalidateOneAndAll) {
-  SwTlb tlb(16, 2);
+  obs::Registry reg;
+  SwTlb tlb(16, 2, LocalCounters(reg));
   for (mem::Vpn v = 0; v < 8; ++v) tlb.Insert(v, v + 100);
   tlb.Invalidate(3);
   mem::Pfn pfn;
@@ -130,7 +142,8 @@ TEST(SwTlbTest, InvalidateOneAndAll) {
 
 TEST(SwTlbTest, PaperCapacityEightMegabytes) {
   // §4.5: translations for up to 8 MB at 4 KB pages, two-way associative.
-  SwTlb tlb(2048, 2);
+  obs::Registry reg;
+  SwTlb tlb(2048, 2, LocalCounters(reg));
   EXPECT_EQ(tlb.capacity() * mem::kPageSize, 8u * 1024 * 1024);
   for (mem::Vpn v = 0; v < 2048; ++v) tlb.Insert(v, v);
   EXPECT_EQ(tlb.valid_entries(), 2048u);
